@@ -36,7 +36,10 @@ class CertificateMatrix:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """independent means rank == m + 2, which confirms m <= t - 1.
+    """independent means rank == m + 2; evaluation_table_ok means the
+    integer identities behind the forms hold.  bound_confirmed is their
+    conjunction: the certificate proves m <= t - 1 only when both hold
+    (rank m + 2 already implies m + 2 <= t + 1).
 
     q2_bound carries the closed binary form 2^(n+1) - 2 of that bound
     when q = 2, and is None otherwise.
@@ -130,13 +133,13 @@ def certify_projective_bound(fam: FamilyPair) -> CertificateReport:
     mat = build_certificate(fam)
     rank = matrix_rank(mat)
     independent = rank == mat.m + 2
-    report = CertificateReport(
+    table_ok = evaluate_identities(fam, mat)
+    return CertificateReport(
         m=mat.m,
         t=mat.t,
         rank=rank,
         independent=independent,
-        bound_confirmed=independent and mat.m + 2 <= mat.t + 1,
-        evaluation_table_ok=evaluate_identities(fam, mat),
+        bound_confirmed=independent and table_ok,
+        evaluation_table_ok=table_ok,
         q2_bound=(2 ** (fam.n + 1) - 2) if fam.field.q == 2 else None,
     )
-    return report

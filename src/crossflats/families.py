@@ -157,11 +157,39 @@ def _member_to_dict(kind: str, member) -> dict:
     return {"lin": [list(r) for r in member.lin.basis]}
 
 
-def _member_from_dict(kind: str, field: Field, n: int, data: dict):
+def _int(value, what: str) -> int:
+    # bool is a subclass of int, but JSON true/false are not numbers here.
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _vector(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(c, f"{what} entry") for c in _list(value, what))
+
+
+def _rows(value, what: str) -> list[tuple[int, ...]]:
+    return [_vector(r, f"{what} row") for r in _list(value, what)]
+
+
+def _member_from_dict(kind: str, field: Field, n: int, data):
+    data = _object(data, "family member")
     if kind == AFFINE:
-        direction = rref(Space(field, n), [tuple(r) for r in data["dir"]])
-        return make_flat(tuple(data["rep"]), direction)
-    return make_projective_subspace(n, field, [tuple(r) for r in data["lin"]])
+        direction = rref(Space(field, n), _rows(data["dir"], "dir"))
+        return make_flat(_vector(data["rep"], "rep"), direction)
+    return make_projective_subspace(n, field, _rows(data["lin"], "lin"))
 
 
 def family_to_dict(fam: FamilyPair) -> dict:
@@ -177,7 +205,10 @@ def family_to_dict(fam: FamilyPair) -> dict:
     }
 
 
-def family_from_dict(data: dict) -> FamilyPair:
+def family_from_dict(data) -> FamilyPair:
+    """Parse a family file's JSON value; any malformed input is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("not a family file: top level must be an object")
     version = data.get("version")
     if version != FILE_VERSION:
         raise ValueError(f"unsupported family file version {version!r}")
@@ -187,15 +218,18 @@ def family_from_dict(data: dict) -> FamilyPair:
         kind = data["kind"]
         if kind not in (AFFINE, PROJECTIVE):
             raise ValueError(f"unknown family kind {kind!r}")
-        fd = data["field"]
-        field = Field(fd["p"], fd["k"], tuple(fd["modulus"]))
-        n = data["n"]
-        pairs = tuple((_member_from_dict(kind, field, n, entry["A"]),
-                       _member_from_dict(kind, field, n, entry["B"]))
-                      for entry in data["pairs"])
+        fd = _object(data["field"], "field")
+        field = Field(_int(fd["p"], "p"), _int(fd["k"], "k"),
+                      _vector(fd["modulus"], "modulus"))
+        n = _int(data["n"], "n")
+        pairs = []
+        for entry in _list(data["pairs"], "pairs"):
+            entry = _object(entry, "pair")
+            pairs.append((_member_from_dict(kind, field, n, entry["A"]),
+                          _member_from_dict(kind, field, n, entry["B"])))
     except KeyError as exc:
         raise ValueError(f"family file is missing key {exc}") from exc
-    return FamilyPair(kind, field, n, pairs)
+    return FamilyPair(kind, field, n, tuple(pairs))
 
 
 def dump_family(fam: FamilyPair) -> str:
@@ -207,6 +241,4 @@ def load_family(text: str) -> FamilyPair:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a family file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("not a family file: top level must be an object")
     return family_from_dict(data)

@@ -98,21 +98,29 @@ def affine_intersect(A: AffineFlat, B: AffineFlat):
 def enumerate_flats(space: Space):
     """All nonempty flats of the space, deterministically ordered.
 
-    For each subspace (see enumerate_subspaces) the canonical coset reps
-    are exactly the vectors vanishing on the pivot columns, enumerated in
-    lexicographic order.
+    For each subspace (see enumerate_subspaces), its cosets in the order
+    of :func:`cosets`.
     """
     from .linalg import enumerate_subspaces
 
-    n, q = space.n, space.q
     for sub in enumerate_subspaces(space):
-        pivots = set(sub.pivot_columns())
-        free = [j for j in range(n) if j not in pivots]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rep = [0] * n
-            for j, val in zip(free, values):
-                rep[j] = val
-            yield AffineFlat(tuple(rep), sub)
+        yield from cosets(sub)
+
+
+def cosets(sub: Subspace):
+    """Every coset of sub as a flat, reps in lexicographic order.
+
+    The canonical reps are exactly the vectors vanishing on the pivot
+    columns, so the q^(n - dim) cosets partition the space.
+    """
+    n, q = sub.space.n, sub.space.q
+    pivots = set(sub.pivot_columns())
+    free = [j for j in range(n) if j not in pivots]
+    for values in itertools.product(range(q), repeat=len(free)):
+        rep = [0] * n
+        for j, val in zip(free, values):
+            rep[j] = val
+        yield AffineFlat(tuple(rep), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +238,40 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:
-    """0/1 incidence vector of F against an ordered projective point list."""
+    """0/1 incidence vector of F against an ordered projective point list,
+    read off F's mask over that order (points are taken up to scaling)."""
     space = F.space
-    out = []
-    for pt in points:
-        space.check_vector(pt)
-        out.append(1 if contains(F.lin, pt) else 0)
-    return tuple(out)
+    canon = [canonical_point(space, space.check_vector(pt)) for pt in points]
+    masks = PointMasks(canon)
+    mask = masks(F)
+    return tuple((mask >> masks.rank[pt]) & 1 for pt in canon)
+
+
+# ---------------------------------------------------------------------------
+# Point masks: one integer per member over a fixed point order.
+
+class PointMasks:
+    """Incidence masks of members over a fixed order of points.
+
+    ``masks(member)`` has bit i set iff the member holds ``points[i]``, so
+    two members over the same order meet iff their masks share a bit.
+    Flats of F_q^n use the Space.vectors() order, subspaces of PG(n, q)
+    the enumerate_projective_points order; a member's points outside the
+    order set no bit.  Masks are memoised per distinct member for the
+    life of the instance.
+    """
+
+    def __init__(self, points):
+        self.rank = {pt: i for i, pt in enumerate(points)}
+        self._memo = {}
+
+    def __call__(self, member) -> int:
+        mask = self._memo.get(member)
+        if mask is None:
+            mask = 0
+            for pt in member.points():
+                i = self.rank.get(pt)
+                if i is not None:
+                    mask |= 1 << i
+            self._memo[member] = mask
+        return mask

@@ -73,14 +73,6 @@ def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
     return tuple(f.mul(c, a) for a in v)
 
 
-def vec_dot(space: Space, u, v) -> int:
-    f = space.field
-    acc = 0
-    for a, b in zip(u, v):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
-
-
 def _pivot(row) -> int:
     """Column of the first nonzero entry, or -1 for a zero row."""
     for j, c in enumerate(row):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crossflats import certify
 from crossflats.certify import (
     CertificateMatrix,
     build_certificate,
@@ -10,11 +11,13 @@ from crossflats.certify import (
     evaluate_identities,
     matrix_rank,
 )
+from crossflats.cli import main
 from crossflats.families import (
     AFFINE,
     PROJECTIVE,
     FamilyPair,
     construct_extremal_affine,
+    dump_family,
     verify_cross_intersecting,
 )
 from crossflats.field import make_field
@@ -49,6 +52,18 @@ def test_pg12_matrix_and_rank():
     assert report.evaluation_table_ok
     assert report.t - 1 == 2  # the bound is tight here
     assert report.q2_bound == 2
+
+
+def test_bound_confirmed_requires_the_evaluation_table(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(certify, "evaluate_identities", lambda fam, mat: False)
+    fam = pg12_two_pairs()
+    report = certify_projective_bound(fam)
+    assert report.independent and not report.evaluation_table_ok
+    assert not report.bound_confirmed
+    path = tmp_path / "fam.json"
+    path.write_text(dump_family(fam))
+    assert main(["certify", str(path)]) == 1
+    assert "bound_confirmed: false" in capsys.readouterr().out
 
 
 def test_empty_family_certificate():

@@ -168,6 +168,37 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "verify", str(junk))[0] == 2
 
 
+def _set(path, value):
+    def corrupt(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return corrupt
+
+
+def _pair_as_list(data):
+    data["pairs"][0] = [data["pairs"][0]["A"], data["pairs"][0]["B"]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set(["n"], "2"),
+    _set(["field"], None),
+    _set(["pairs"], 3),
+    _pair_as_list,
+    _set(["pairs", 0, "A", "rep"], [True, False]),
+], ids=["n-string", "field-null", "pairs-int", "pair-list", "rep-bools"])
+def test_malformed_family_files_exit_2(tmp_path, capsys, corrupt):
+    _, stdout, _ = run(capsys, "construct", "--n", "2", "--q", "2")
+    data = json.loads(stdout)
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_rejects_unknown_file_version(tmp_path, capsys):
     code, stdout, _ = run(capsys, "construct", "--n", "1", "--q", "2")
     data = json.loads(stdout)

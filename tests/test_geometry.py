@@ -7,6 +7,7 @@ import pytest
 from crossflats.field import make_field
 from crossflats.geometry import (
     AffineFlat,
+    PointMasks,
     ProjectiveSubspace,
     affine_intersect,
     canonical_point,
@@ -23,7 +24,7 @@ from crossflats.geometry import (
     projective_whole,
 )
 from crossflats.linalg import Space, enumerate_hyperplanes, enumerate_subspaces, rref
-from oracles import flat_points, span_points
+from oracles import flat_points, members_meet, span_points
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -178,6 +179,26 @@ def test_proj_intersect_matches_point_sets_in_pg22():
         expected = set(a.points()) & set(b.points())
         assert set(got.points()) == expected
         assert projective_disjoint(a, b) == (not expected)
+
+
+@pytest.mark.parametrize("kind,n,field", [
+    ("affine", 2, GF3), ("affine", 3, GF2), ("projective", 2, GF2), ("projective", 2, GF3),
+])
+def test_point_mask_disjointness_matches_rref_and_oracle(kind, n, field):
+    if kind == "affine":
+        space = Space(field, n)
+        members = list(enumerate_flats(space))
+        masks = PointMasks(space.vectors())
+        rref_disjoint = flats_disjoint
+    else:
+        members = [ProjectiveSubspace(sub)
+                   for sub in enumerate_subspaces(Space(field, n + 1)) if sub.dim >= 1]
+        masks = PointMasks(enumerate_projective_points(n, field))
+        rref_disjoint = projective_disjoint
+    for a, b in itertools.product(members, repeat=2):
+        disjoint = not masks(a) & masks(b)
+        assert disjoint == rref_disjoint(a, b)
+        assert disjoint == (not members_meet(a, b))
 
 
 def test_projective_subspace_point_lists():

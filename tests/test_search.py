@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from crossflats import search
+from crossflats.cli import main
 from crossflats.families import AFFINE, PROJECTIVE, FamilyPair, verify_cross_intersecting
 from crossflats.field import make_field
 from crossflats.geometry import enumerate_flats
@@ -169,6 +171,35 @@ def test_candidate_cap():
         candidates_projective(2, GF2, max_candidates=50)
     with pytest.raises(CandidateCapExceeded):
         candidates_affine(2, GF2, restricted=True, max_candidates=3)
+    with pytest.raises(CandidateCapExceeded):
+        candidates_affine(2, GF3, restricted=True, max_candidates=23)
+    assert len(candidates_affine(2, GF3, restricted=True, max_candidates=24)) == 24
+
+
+def test_candidate_cap_is_checked_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the cap check")
+
+    for name in ("enumerate_flats", "enumerate_subspaces", "enumerate_hyperplanes",
+                 "PointMasks"):
+        monkeypatch.setattr(search, name, refuse)
+    with pytest.raises(CandidateCapExceeded):
+        candidates_affine(20, GF2, restricted=False)
+    with pytest.raises(CandidateCapExceeded):
+        candidates_affine(20, GF2, restricted=True)
+    with pytest.raises(CandidateCapExceeded):
+        candidates_projective(20, GF2)
+    assert main(["search", "--n", "20", "--q", "2", "--kind", "affine"]) == 2
+
+
+@pytest.mark.parametrize("cands,expected", [
+    (lambda: candidates_projective(2, GF2), (6, (70, 75, 6, 78, 16, 28), 1065)),
+    (lambda: candidates_affine(2, GF3, restricted=False),
+     (8, (144, 152, 174, 182, 198, 14, 28, 62), 26305)),
+], ids=["PG(2,2)", "AG(2,3)-unrestricted"])
+def test_pinned_search_results(cands, expected):
+    report = max_family(cands())
+    assert (report.max_size, report.witness, report.nodes_explored) == expected
 
 
 def test_candidates_are_disjoint_pairs_by_construction():
