@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .families import PROJECTIVE, FamilyPair, verify_cross_intersecting
 from .field import Field
 from .geometry import char_vector, enumerate_projective_points
-from .linalg import _rref_rows
+from .linalg import Space, rref
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def evaluate_identities(fam: FamilyPair, mat: CertificateMatrix) -> bool:
 
 def matrix_rank(mat: CertificateMatrix) -> int:
     """Row rank over the prime field GF(p)."""
-    prime_field = Field(mat.p)
-    width = mat.t + 1
-    return len(_rref_rows(prime_field, mat.rows, width))
+    return rref(Space(Field(mat.p), mat.t + 1), mat.rows).dim
 
 
 def certify_projective_bound(fam: FamilyPair) -> CertificateReport:

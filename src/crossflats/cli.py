@@ -23,7 +23,7 @@ from .families import (
     load_family,
     verify_cross_intersecting,
 )
-from .field import Field, is_prime
+from .field import MAX_ORDER, Field, prime_factors
 from .geometry import enumerate_projective_points
 from .linalg import Space, enumerate_hyperplanes
 from .search import (
@@ -41,7 +41,11 @@ EXIT_BUDGET = 3
 
 
 def parse_prime_power(text: str) -> Field:
-    """Accept q as a plain prime power ("9") or explicit "p^k" ("3^2")."""
+    """Accept q as a plain prime power ("9") or explicit "p^k" ("3^2").
+
+    Field checks p and k (bounds first, then primality); a plain value
+    is bounded by MAX_ORDER before it is factored.
+    """
     if "^" in text:
         base, _, exp = text.partition("^")
         try:
@@ -53,17 +57,16 @@ def parse_prime_power(text: str) -> Field:
             value = int(text)
         except ValueError:
             raise ValueError(f"cannot parse field order {text!r}") from None
-        if value < 2:
-            raise ValueError(f"field order must be at least 2, got {value}")
-        p = next(d for d in range(2, value + 1) if value % d == 0)
-        k = 0
-        while value % p == 0:
+        if not 2 <= value <= MAX_ORDER:
+            raise ValueError(
+                f"field order must be between 2 and {MAX_ORDER}, got {value}")
+        factors = prime_factors(value)
+        if len(factors) != 1:
+            raise ValueError(f"{text} is not a prime power")
+        p, k = factors[0], 0
+        while value > 1:
             value //= p
             k += 1
-        if value != 1:
-            raise ValueError(f"{text} is not a prime power")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return Field(p, k)
 
 

@@ -6,14 +6,31 @@ digits of the encoding, least significant first, are the coefficients of
 a polynomial over GF(p); multiplication reduces modulo a fixed monic
 irreducible polynomial of degree k.  The modulus is always the canonical
 one (smallest encoding), so element encodings are identical across runs.
+
+Arithmetic is table-driven.  For each (p, k) one :class:`Arithmetic` is
+built on first use and shared by every equal ``Field``: the powers of a
+fixed generator g (exp) and their discrete logarithms (log), so that a
+product of nonzero elements is ``exp[log a + log b]`` and an inverse is
+``exp[q - 1 - log a]``.  Prime fields add and multiply with ``% p``,
+characteristic 2 adds with XOR, and odd extension fields add through a
+Zech-log table (``1 + g^d = g^zech[d]``).  Every table holds O(q)
+entries, so fields up to ``MAX_ORDER`` fit.
+
+The public ``Field`` methods check their operands and raise on bad ones.
+``Field.unchecked`` carries the same operations without checks, plus the
+row operations of Gaussian elimination; it is for code that works on
+elements already validated at the boundary.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 # Desk-scale combinatorics only; anything larger is a caller mistake.
 MAX_ORDER = 1 << 16
+# Largest degree k of any admissible GF(p^k): 2^k <= MAX_ORDER.
+MAX_DEGREE = MAX_ORDER.bit_length() - 1
 
 
 def is_prime(n: int) -> bool:
@@ -27,6 +44,21 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +119,7 @@ def _is_irreducible(p: int, poly) -> bool:
     return True
 
 
+@functools.cache
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Canonical degree-k modulus: the monic irreducible with smallest encoding."""
     for enc in range(p ** k):
@@ -97,6 +130,211 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Tables.
+
+def _poly_field_mul(p: int, k: int, modulus, a: int, b: int) -> int:
+    """a * b in GF(p^k) by the polynomial definition, without tables."""
+    if k == 1:
+        return a * b % p
+    prod = _poly_mul(p, _digits(a, p, k), _digits(b, p, k))
+    return _undigits(_poly_rem(p, prod, modulus), p)
+
+
+def _powers(p: int, k: int, modulus, g: int) -> list[int]:
+    """g^0, g^1, ..., g^(q-2): the exp table.
+
+    For k > 1, multiplying by g is GF(p)-linear in the digits, so g * a is
+    g * (low digits of a) plus g * (high digits of a), digit-wise.  Both
+    halves are looked up in tables of p^(k//2) and p^(k - k//2) products,
+    built by the polynomial definition; in characteristic 2 the digit-wise
+    sum is XOR.
+    """
+    q = p ** k
+    out = [1] * (q - 1)
+    if k == 1:
+        for i in range(1, q - 1):
+            out[i] = out[i - 1] * g % p
+        return out
+    split = p ** (k // 2)
+    low = [_poly_field_mul(p, k, modulus, g, a) for a in range(split)]
+    high = [_poly_field_mul(p, k, modulus, g, a * split) for a in range(q // split)]
+    e = 1
+    if p == 2:
+        shift = k // 2
+        for i in range(1, q - 1):
+            e = out[i] = low[e & split - 1] ^ high[e >> shift]
+        return out
+    low = [_digits(x, p, k) for x in low]
+    high = [_digits(x, p, k) for x in high]
+    for i in range(1, q - 1):
+        lo, hi = low[e % split], high[e // split]
+        e = out[i] = _undigits([(u + v) % p for u, v in zip(lo, hi)], p)
+    return out
+
+
+def _generator(p: int, k: int, modulus) -> int:
+    """Smallest encoding of multiplicative order q - 1: g generates iff
+    g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    q = p ** k
+    exponents = [(q - 1) // r for r in prime_factors(q - 1)]
+
+    def power(g: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = _poly_field_mul(p, k, modulus, result, g)
+            g = _poly_field_mul(p, k, modulus, g, g)
+            e >>= 1
+        return result
+
+    return next(g for g in range(1, q) if all(power(g, e) != 1 for e in exponents))
+
+
+class Arithmetic:
+    """Unchecked operations on the encodings of one GF(p^k).
+
+    Operands must be valid encodings (and nonzero for inv); nothing is
+    checked.  scale(c, row) and sub_scaled(x, c, y) are the row operations
+    of Gaussian elimination: c*y and the fused update x - c*y, as lists.
+    Multiplication goes through the exp/log tables of the generator;
+    subclasses supply addition.
+    """
+
+    def __init__(self, p: int, k: int, modulus):
+        q = p ** k
+        self.p, self.q, self.order = p, q, q - 1
+        exp = _powers(p, k, modulus, _generator(p, k, modulus))
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        self.exp = exp + exp  # exp[log a + log b] needs no reduction
+        self.log = log
+
+    def mul(self, a: int, b: int) -> int:
+        if a and b:
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
+
+    def inv(self, a: int) -> int:
+        return self.exp[self.order - self.log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % self.order]
+
+    def scale(self, c: int, row) -> list[int]:
+        if not c:
+            return [0] * len(row)
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return [exp[lc + log[y]] if y else 0 for y in row]
+
+
+class _PrimeArithmetic(Arithmetic):
+    """GF(p): residues mod p; the tables serve inv and pow only."""
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def scale(self, c: int, row) -> list[int]:
+        p = self.p
+        return [c * y % p for y in row]
+
+    def sub_scaled(self, x, c: int, y) -> list[int]:
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(x, y)]
+
+
+class _BinaryArithmetic(Arithmetic):
+    """GF(2^k), k > 1: addition is XOR and every element is its own negative."""
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a: int) -> int:
+        return a
+
+    def sub_scaled(self, x, c: int, y) -> list[int]:
+        if not c:
+            return list(x)
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
+
+
+class _ZechArithmetic(Arithmetic):
+    """GF(p^k), p odd, k > 1: addition through Zech logarithms.
+
+    zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0, i.e. d = (q-1)/2, the
+    log of -1.  Then g^a + g^b = g^(a + zech[b - a]).
+    """
+
+    def __init__(self, p: int, k: int, modulus):
+        super().__init__(p, k, modulus)
+        exp, log = self.exp, self.log
+        self.half = self.order // 2
+        zech = []
+        for d in range(self.order):
+            e = exp[d]
+            one_more = e - e % p + (e + 1) % p  # adds 1 to the constant digit
+            zech.append(log[one_more] if one_more else -1)
+        self.zech = zech
+
+    def _add_logs(self, la: int, lb: int) -> int:
+        z = self.zech[(lb - la) % self.order]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        return self._add_logs(self.log[a], self.log[b])
+
+    def neg(self, a: int) -> int:
+        return self.exp[self.log[a] + self.half] if a else 0
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def sub_scaled(self, x, c: int, y) -> list[int]:
+        if not c:
+            return list(x)
+        exp, log, add_logs = self.exp, self.log, self._add_logs
+        neg_lc = (log[c] + self.half) % self.order  # log(-c)
+        out = []
+        for a, b in zip(x, y):
+            if not b:
+                out.append(a)
+            elif not a:
+                out.append(exp[neg_lc + log[b]])
+            else:
+                out.append(add_logs(log[a], neg_lc + log[b]))
+        return out
+
+
+@functools.cache
+def arithmetic(p: int, k: int) -> Arithmetic:
+    """The shared tables of GF(p^k); p and k must already be validated."""
+    if k == 1:
+        return _PrimeArithmetic(p, 1, ())
+    cls = _BinaryArithmetic if p == 2 else _ZechArithmetic
+    return cls(p, k, smallest_irreducible(p, k))
+
+
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Field:
@@ -104,7 +342,9 @@ class Field:
 
     ``modulus`` holds the k+1 ascending coefficients of the canonical
     irreducible modulus; by convention it is empty for prime fields.
-    Instances are immutable and all operations are pure.
+    Instances are immutable and all operations are pure.  ``unchecked``
+    is the shared :class:`Arithmetic` of (p, k); it is not part of the
+    value, so equal fields compare and hash equal.
     """
 
     p: int
@@ -112,10 +352,14 @@ class Field:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        # Bound p and k first: the primality test and p ** k cost time
+        # that grows with them.
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.p > MAX_ORDER or self.k > MAX_DEGREE:
+            raise ValueError(f"field order {self.p}^{self.k} exceeds {MAX_ORDER}")
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if self.p ** self.k > MAX_ORDER:
             raise ValueError(f"field order {self.p}^{self.k} exceeds {MAX_ORDER}")
         mod = tuple(self.modulus)
@@ -130,10 +374,11 @@ class Field:
                 raise ValueError(
                     f"modulus {mod} is not the canonical irreducible {canonical}")
         object.__setattr__(self, "modulus", mod)
+        object.__setattr__(self, "unchecked", arithmetic(self.p, self.k))
 
     @property
     def q(self) -> int:
-        return self.p ** self.k
+        return self.unchecked.q
 
     def elements(self) -> range:
         return range(self.q)
@@ -147,45 +392,31 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return self.unchecked.add(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self.check(a), self.check(b)
+        return self.unchecked.sub(a, b)
 
     def neg(self, a: int) -> int:
         self.check(a)
-        if self.k == 1:
-            return (-a) % self.p
-        return _undigits([(-c) % self.p for c in _digits(a, self.p, self.k)], self.p)
+        return self.unchecked.neg(a)
 
     def mul(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.p, _digits(a, self.p, self.k), _digits(b, self.p, self.k))
-        return _undigits(_poly_rem(self.p, prod, self.modulus), self.p)
+        return self.unchecked.mul(a, b)
 
     def inv(self, a: int) -> int:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        # The multiplicative group has order q - 1, so a^(q-2) inverts a.
-        return self.pow(a, self.q - 2)
+        return self.unchecked.inv(a)
 
     def pow(self, a: int, e: int) -> int:
-        self.check(a)
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        self.check(a)
+        return self.unchecked.pow(a, e)
 
 
 def make_field(p: int, k: int = 1) -> Field:

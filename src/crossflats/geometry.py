@@ -10,13 +10,13 @@ from .linalg import (
     Space,
     Subspace,
     _pivot,
+    _reduce,
+    _rref_rows,
     _same_space,
-    contains,
     reduce_mod_basis,
     rref,
     solve_linear,
     subspace_intersection,
-    subspace_sum,
     vec_add,
     vec_neg,
     vec_scale,
@@ -50,7 +50,9 @@ class AffineFlat:
         return self.direction.dim
 
     def contains_point(self, v) -> bool:
-        return contains(self.direction, vec_sub(self.space, v, self.rep))
+        space = self.space
+        diff = vec_sub(space, space.check_vector(v), self.rep)
+        return not any(_reduce(self.direction, diff))
 
     def points(self):
         """All q^dim points of the flat (order follows the basis coefficients)."""
@@ -69,25 +71,32 @@ def make_flat(point, direction: Subspace) -> AffineFlat:
 
 
 def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
-    """Empty intersection test: rep(A) - rep(B) outside dir(A) + dir(B)."""
+    """Empty intersection test: rep(B) - rep(A) outside dir(A) + dir(B).
+
+    One elimination of the rows (u, 0), u in either direction basis, and
+    (rep(B) - rep(A), 1).  The difference lies in the sum exactly when
+    (0, ..., 0, 1) is in their row space, i.e. when the tag column takes a
+    pivot; that pivot can only sit in the last row of the RREF.
+    """
     space = _same_space(A.space, B.space)
-    diff = vec_sub(space, B.rep, A.rep)
-    return not contains(subspace_sum(A.direction, B.direction), diff)
+    n = space.n
+    rows = [r + (0,) for r in A.direction.basis + B.direction.basis]
+    rows.append(vec_sub(space, B.rep, A.rep) + (1,))
+    last = _rref_rows(space.field, rows, n + 1)[-1]
+    return _pivot(last) < n
 
 
 def affine_intersect(A: AffineFlat, B: AffineFlat):
     """Canonical flat A ∩ B, or None when the flats are disjoint."""
     space = _same_space(A.space, B.space)
-    field = space.field
     diff = vec_sub(space, B.rep, A.rep)
-    if not contains(subspace_sum(A.direction, B.direction), diff):
-        return None
     # Solve rep_A + sum a_i u_i = rep_B + sum b_j v_j for one common point.
     du = A.direction.dim
     columns = list(A.direction.basis) + [vec_neg(space, r) for r in B.direction.basis]
     rows = [tuple(col[i] for col in columns) for i in range(space.n)]
-    x = solve_linear(field, rows, diff)
-    assert x is not None
+    x = solve_linear(space.field, rows, diff)
+    if x is None:
+        return None
     point = A.rep
     for coeff, base in zip(x[:du], A.direction.basis):
         if coeff:
@@ -142,7 +151,7 @@ def canonical_point(space: Space, v) -> tuple[int, ...]:
     c = v[p]
     if c == 1:
         return tuple(v)
-    return vec_scale(space, space.field.inv(c), v)
+    return vec_scale(space, space.field.unchecked.inv(c), v)
 
 
 def enumerate_projective_points(n: int, field: Field) -> list[tuple[int, ...]]:
@@ -232,9 +241,11 @@ def proj_intersect(A: ProjectiveSubspace, B: ProjectiveSubspace) -> ProjectiveSu
 
 
 def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
-    # dim(U ∩ V) = dim U + dim V - dim(U + V); avoids the Zassenhaus pass.
-    _same_space(A.space, B.space)
-    return A.lin.dim + B.lin.dim - subspace_sum(A.lin, B.lin).dim == 0
+    """dim(U ∩ V) = dim U + dim V - rank(U ∪ V): one elimination, no
+    Zassenhaus pass and no Subspace built."""
+    space = _same_space(A.space, B.space)
+    U, V = A.lin, B.lin
+    return len(_rref_rows(space.field, U.basis + V.basis, space.n)) == U.dim + V.dim
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:

@@ -4,6 +4,14 @@ Vectors are plain tuples of element encodings; their natural tuple
 comparison is the lexicographic order used for all tie-breaking.  A
 subspace is always stored as the reduced row echelon form of a row
 basis, so equal spans compare equal and hash equal.
+
+Input is checked at the boundary: rref() and null_space() check every
+row they are given, and a Subspace(...) built by a caller validates its
+RREF invariants.  Past that point the data is trusted.  _rref_rows is the
+one elimination kernel; it and the vec_* helpers run on the field's
+unchecked operations, and the subspaces this module builds from kernel
+output (rref, subspace_sum, subspace_intersection, null_space,
+enumerate_subspaces) skip validation.
 """
 
 from __future__ import annotations
@@ -54,23 +62,22 @@ def _same_space(a: Space, b: Space) -> Space:
 # Vector helpers.
 
 def vec_add(space: Space, u, v) -> tuple[int, ...]:
-    f = space.field
-    return tuple(f.add(a, b) for a, b in zip(u, v))
+    add = space.field.unchecked.add
+    return tuple(add(a, b) for a, b in zip(u, v))
 
 
 def vec_sub(space: Space, u, v) -> tuple[int, ...]:
-    f = space.field
-    return tuple(f.sub(a, b) for a, b in zip(u, v))
+    sub = space.field.unchecked.sub
+    return tuple(sub(a, b) for a, b in zip(u, v))
 
 
 def vec_neg(space: Space, v) -> tuple[int, ...]:
-    f = space.field
-    return tuple(f.neg(a) for a in v)
+    neg = space.field.unchecked.neg
+    return tuple(neg(a) for a in v)
 
 
 def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
-    f = space.field
-    return tuple(f.mul(c, a) for a in v)
+    return tuple(space.field.unchecked.scale(c, v))
 
 
 def _pivot(row) -> int:
@@ -82,23 +89,36 @@ def _pivot(row) -> int:
 
 
 def _rref_rows(field: Field, rows, width: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon form; returns only the nonzero rows."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form, pivoting on the first ``width`` columns.
+
+    Returns the pivot rows in order; with ``width`` covering every column
+    these are exactly the nonzero rows.  Rows may run past ``width``
+    (augmented columns) and are updated in full.  The one elimination
+    kernel: it uses the field's unchecked operations, so every entry must
+    already be a valid element encoding.
+    """
+    ops = field.unchecked
+    inv, scale, sub_scaled = ops.inv, ops.scale, ops.sub_scaled
+    mat = list(rows)
     m = len(mat)
     rank = 0
     for col in range(width):
-        pr = next((i for i in range(rank, m) if mat[i][col]), None)
-        if pr is None:
+        if rank == m:
+            break
+        for pr in range(rank, m):
+            if mat[pr][col]:
+                break
+        else:
             continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = field.inv(mat[rank][col])
-        if inv != 1:
-            mat[rank] = [field.mul(inv, c) for c in mat[rank]]
+        pivot_row = mat[pr]
+        if pivot_row[col] != 1:
+            pivot_row = scale(inv(pivot_row[col]), pivot_row)
+        mat[pr] = mat[rank]
+        mat[rank] = pivot_row
         for i in range(m):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y))
-                          for x, y in zip(mat[i], mat[rank])]
+            c = mat[i][col]
+            if c and i != rank:
+                mat[i] = sub_scaled(mat[i], c, pivot_row)
         rank += 1
     return [tuple(r) for r in mat[:rank]]
 
@@ -138,15 +158,27 @@ class Subspace:
         return tuple(_pivot(r) for r in self.basis)
 
 
+def _trusted_subspace(space: Space, basis) -> Subspace:
+    """A Subspace from rows already in RREF (kernel output), unvalidated."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "space", space)
+    object.__setattr__(sub, "basis", tuple(basis))
+    return sub
+
+
+def _span(space: Space, rows) -> Subspace:
+    """Canonical span of trusted rows."""
+    return _trusted_subspace(space, _rref_rows(space.field, rows, space.n))
+
+
 def rref(space: Space, rows) -> Subspace:
     """Canonical subspace spanned by the given rows (idempotent)."""
-    checked = [space.check_vector(r) for r in rows]
-    return Subspace(space, tuple(_rref_rows(space.field, checked, space.n)))
+    return _span(space, [space.check_vector(r) for r in rows])
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     space = _same_space(U.space, V.space)
-    return rref(space, U.basis + V.basis)
+    return _span(space, U.basis + V.basis)
 
 
 def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
@@ -157,19 +189,23 @@ def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
     stacked = [r + r for r in U.basis] + [r + zero for r in V.basis]
     reduced = _rref_rows(space.field, stacked, 2 * n)
     inter = [row[n:] for row in reduced if _pivot(row[:n]) < 0]
-    return rref(space, inter)
+    return _span(space, inter)
 
 
-def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
-    """Eliminate v against the RREF basis; zero remainder means membership."""
-    space = U.space
-    space.check_vector(v)
+def _reduce(U: Subspace, v) -> tuple[int, ...]:
+    """reduce_mod_basis for a trusted vector v."""
+    sub_scaled = U.space.field.unchecked.sub_scaled
     r = v
     for row in U.basis:
         c = r[_pivot(row)]
         if c:
-            r = vec_sub(space, r, vec_scale(space, c, row))
+            r = sub_scaled(r, c, row)
     return tuple(r)
+
+
+def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
+    """Eliminate v against the RREF basis; zero remainder means membership."""
+    return _reduce(U, U.space.check_vector(v))
 
 
 def contains(U: Subspace, v) -> bool:
@@ -180,7 +216,7 @@ def null_space(space: Space, rows) -> Subspace:
     """Canonical basis of {x : r . x = 0 for every row r}."""
     reduced = _rref_rows(space.field, [space.check_vector(r) for r in rows], space.n)
     pivots = [_pivot(r) for r in reduced]
-    f = space.field
+    neg = space.field.unchecked.neg
     basis = []
     for free in range(space.n):
         if free in pivots:
@@ -188,43 +224,29 @@ def null_space(space: Space, rows) -> Subspace:
         v = [0] * space.n
         v[free] = 1
         for i, p in enumerate(pivots):
-            v[p] = f.neg(reduced[i][free])
+            v[p] = neg(reduced[i][free])
         basis.append(tuple(v))
-    return rref(space, basis)
+    return _span(space, basis)
 
 
 def solve_linear(field: Field, rows, rhs):
     """One solution x of rows . x = rhs, or None if inconsistent.
 
     rows is an m x c coefficient matrix given as row tuples; free
-    variables are set to zero.
+    variables are set to zero.  One run of the kernel on [rows | rhs]
+    over all c + 1 columns: the system is inconsistent exactly when the
+    rhs column takes a pivot, and otherwise each pivot row gives its
+    pivot variable's value.
     """
-    m = len(rows)
-    c = len(rows[0]) if m else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_cols = []
-    rank = 0
-    for col in range(c):
-        pr = next((i for i in range(rank, m) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[rank], aug[pr] = aug[pr], aug[rank]
-        inv = field.inv(aug[rank][col])
-        if inv != 1:
-            aug[rank] = [field.mul(inv, x) for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                coef = aug[i][col]
-                aug[i] = [field.sub(x, field.mul(coef, y))
-                          for x, y in zip(aug[i], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][c]:
-            return None
+    c = len(rows[0]) if rows else 0
+    aug = [tuple(field.check(x) for x in r) + (field.check(b),)
+           for r, b in zip(rows, rhs)]
     x = [0] * c
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][c]
+    for row in _rref_rows(field, aug, c + 1):
+        col = _pivot(row)
+        if col == c:
+            return None
+        x[col] = row[c]
     return tuple(x)
 
 
@@ -270,7 +292,7 @@ def enumerate_subspaces(space: Space, dim: int | None = None):
     dims = range(n + 1) if dim is None else (dim,)
     for d in dims:
         if d == 0:
-            yield Subspace(space, ())
+            yield _trusted_subspace(space, ())
             continue
         for pivots in itertools.combinations(range(n), d):
             free = [(i, j) for i in range(d) for j in range(n)
@@ -281,4 +303,4 @@ def enumerate_subspaces(space: Space, dim: int | None = None):
                     rows[i][pivots[i]] = 1
                 for (i, j), val in zip(free, values):
                     rows[i][j] = val
-                yield Subspace(space, tuple(tuple(r) for r in rows))
+                yield _trusted_subspace(space, (tuple(r) for r in rows))

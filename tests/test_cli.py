@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from crossflats import cli as cli_module
+from crossflats import field as field_module
 from crossflats.cli import main, parse_prime_power
 from crossflats.families import dump_family, load_family
 from crossflats.field import Field
@@ -197,6 +199,38 @@ def test_malformed_family_files_exit_2(tmp_path, capsys, corrupt):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+def _refuse_unbounded_work(monkeypatch):
+    """Make a primality test or factor search on any order fail the test."""
+    def refuse(n):
+        raise AssertionError(f"unbounded work on {n}")
+
+    monkeypatch.setattr(field_module, "is_prime", refuse)
+    monkeypatch.setattr(cli_module, "prime_factors", refuse)
+
+
+def test_oversized_field_in_a_family_file_exits_2(tmp_path, capsys, monkeypatch):
+    _, stdout, _ = run(capsys, "construct", "--n", "1", "--q", "2")
+    data = json.loads(stdout)
+    data["field"]["p"] = HUGE_PRIME
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    _refuse_unbounded_work(monkeypatch)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "exceeds" in err
+
+
+@pytest.mark.parametrize("q", [str(HUGE_PRIME), "2^1000000000"])
+def test_oversized_field_order_exits_2(capsys, monkeypatch, q):
+    _refuse_unbounded_work(monkeypatch)
+    code, _, err = run(capsys, "construct", "--n", "1", "--q", q)
+    assert code == 2
+    assert str(1 << 16) in err
 
 
 def test_rejects_unknown_file_version(tmp_path, capsys):

@@ -3,10 +3,41 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossflats.field import Field, is_prime, make_field, smallest_irreducible
+from crossflats import field as field_module
+from crossflats.field import (
+    MAX_ORDER,
+    Field,
+    _digits,
+    _poly_field_mul,
+    _undigits,
+    is_prime,
+    make_field,
+    smallest_irreducible,
+)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+# Every field with q <= 32; GF(9), GF(25) and GF(27) add through Zech logs.
+TABLE_FIELDS = [(p, k) for p in range(2, 33) if is_prime(p)
+                for k in range(1, 6) if p ** k <= 32]
+LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1)]
+
+
+# Reference arithmetic straight from the polynomial definition.
+
+def ref_mul(f, a, b):
+    return _poly_field_mul(f.p, f.k, f.modulus, a, b)
+
+
+def ref_add(f, a, b):
+    digits = zip(_digits(a, f.p, f.k), _digits(b, f.p, f.k))
+    return _undigits([(x + y) % f.p for x, y in digits], f.p)
+
+
+def ref_neg(f, a):
+    return _undigits([-x % f.p for x in _digits(a, f.p, f.k)], f.p)
 
 
 def test_prime_fields():
@@ -141,3 +172,66 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13]
     assert [n for n in range(2, 14) if is_prime(n)] == primes
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_table_fields_cover_the_zech_path():
+    assert {(3, 2), (5, 2), (3, 3)} <= set(TABLE_FIELDS)
+    assert len(TABLE_FIELDS) == 18
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_tables_match_the_polynomial_definition(p, k):
+    f = Field(p, k)
+    elements = list(f.elements())
+    products = {(a, b): ref_mul(f, a, b) for a in elements for b in elements}
+    for a, b in itertools.product(elements, repeat=2):
+        assert f.mul(a, b) == products[a, b]
+        assert f.add(a, b) == ref_add(f, a, b)
+        assert f.sub(a, b) == ref_add(f, a, ref_neg(f, b))
+    for a in elements:
+        assert f.neg(a) == ref_neg(f, a)
+        if a:
+            # the unique b with a * b = 1 under the polynomial product
+            assert [b for b in elements if products[a, b] == 1] == [f.inv(a)]
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_row_operations_match_scalar_ops(p, k):
+    f = Field(p, k)
+    ops = f.unchecked
+    row = list(f.elements())
+    other = row[::-1]
+    for c in f.elements():
+        assert ops.scale(c, row) == [f.mul(c, y) for y in row]
+        assert ops.sub_scaled(row, c, other) == \
+            [f.sub(x, f.mul(c, y)) for x, y in zip(row, other)]
+
+
+@pytest.mark.parametrize("p,k", LARGE_FIELDS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_large_field_tables_match_the_polynomial_definition(p, k, data):
+    f = Field(p, k)
+    element = st.integers(0, f.q - 1)
+    a, b = data.draw(element), data.draw(element)
+    assert f.mul(a, b) == ref_mul(f, a, b)
+    assert f.add(a, b) == ref_add(f, a, b)
+    assert f.neg(a) == ref_neg(f, a)
+    if a:
+        assert ref_mul(f, a, f.inv(a)) == 1
+
+
+def test_equal_fields_share_their_tables():
+    assert Field(2, 3).unchecked is make_field(2, 3).unchecked
+    assert Field(2, 3) == Field(2, 3, (1, 1, 0, 1))
+    assert "unchecked" not in repr(Field(2, 3))
+
+
+def test_order_is_bounded_before_any_primality_test(monkeypatch):
+    def no_prime_test(n):
+        raise AssertionError(f"is_prime({n}) ran on an unbounded order")
+
+    monkeypatch.setattr(field_module, "is_prime", no_prime_test)
+    for p, k in [(1000000000000000003, 1), (2, 10 ** 9), (MAX_ORDER + 1, 1), (2, 17)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            Field(p, k)

@@ -1,5 +1,6 @@
 """Flats, cosets, projective points/subspaces, incidence vectors."""
 
+import inspect
 import itertools
 
 import pytest
@@ -24,7 +25,8 @@ from crossflats.geometry import (
     projective_whole,
 )
 from crossflats.linalg import Space, enumerate_hyperplanes, enumerate_subspaces, rref
-from oracles import flat_points, members_meet, span_points
+import oracles
+from oracles import flat_points, member_points, members_meet, span_points
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -199,6 +201,34 @@ def test_point_mask_disjointness_matches_rref_and_oracle(kind, n, field):
         disjoint = not masks(a) & masks(b)
         assert disjoint == rref_disjoint(a, b)
         assert disjoint == (not members_meet(a, b))
+
+
+@pytest.mark.parametrize("q,line_only", [(4, False), (9, True)])
+def test_rank_flats_disjoint_matches_the_oracle(q, line_only):
+    # Every ordered flat pair of AG(2,4); every ordered line pair of AG(2,9).
+    # Point sets are enumerated once per flat; `not pa & pb` is
+    # `not members_meet(a, b)`.
+    p, k = {4: (2, 2), 9: (3, 2)}[q]
+    flats = [f for f in enumerate_flats(Space(make_field(p, k), 2))
+             if not line_only or f.dim == 1]
+    assert len(flats) == (37 if q == 4 else 90)
+    points = [frozenset(member_points(f)) for f in flats]
+    for (a, pa), (b, pb) in itertools.product(zip(flats, points), repeat=2):
+        assert flats_disjoint(a, b) == (not pa & pb)
+
+
+def test_projective_disjoint_matches_the_oracle_in_pg_2_4():
+    space = Space(make_field(2, 2), 3)
+    members = [ProjectiveSubspace(sub) for sub in enumerate_subspaces(space) if sub.dim >= 1]
+    points = [frozenset(member_points(m)) for m in members]
+    for (a, pa), (b, pb) in itertools.product(zip(members, points), repeat=2):
+        assert projective_disjoint(a, b) == (not pa & pb)
+
+
+def test_oracles_enumerate_points_without_the_elimination_code():
+    source = inspect.getsource(oracles)
+    for name in ("disjoint", "rref", "linalg", "unchecked", "PointMasks"):
+        assert name not in source
 
 
 def test_projective_subspace_point_lists():

@@ -232,3 +232,33 @@ def test_mixed_spaces_raise():
 def test_space_requires_positive_dimension():
     with pytest.raises(ValueError):
         Space(GF2, 0)
+
+
+def test_boundary_functions_check_their_input():
+    s = Space(GF3, 2)
+    for bad in ([(3, 0)], [(0, -1)], [(1.0, 0)]):
+        with pytest.raises(ValueError):
+            rref(s, bad)
+        with pytest.raises(ValueError):
+            null_space(s, bad)
+    with pytest.raises(ValueError):
+        solve_linear(GF3, [(1, 3)], (0,))
+    with pytest.raises(ValueError):
+        solve_linear(GF3, [(1, 0)], (5,))
+
+
+def test_trusted_subspaces_satisfy_the_validated_invariants():
+    # Kernel output skips validation; rebuilding it through the checked
+    # constructor must give the same value.
+    rng = random.Random(11)
+    gf9 = make_field(3, 2)
+    for space in (Space(GF2, 4), Space(GF3, 3), Space(GF4, 3), Space(gf9, 2)):
+        q = space.q
+        subs = list(enumerate_subspaces(space))
+        for _ in range(40):
+            rows = [tuple(rng.randrange(q) for _ in range(space.n))
+                    for _ in range(rng.randrange(5))]
+            u, v = rref(space, rows), rng.choice(subs)
+            for sub in (u, subspace_sum(u, v), subspace_intersection(u, v),
+                        null_space(space, rows), v):
+                assert Subspace(space, sub.basis) == sub
