@@ -12,15 +12,20 @@ the forms independent inside the (t+1)-dimensional span of 1, x_1..x_t,
 hence m + 2 <= t + 1.  A congruence that holds mod q holds mod p, so
 rank over GF(p) is a sound reduction of the mod-q identities; those
 identities themselves are checked in unbounded integers first.
+
+The incidence vectors are the search's point masks (geometry.PointMasks)
+over the enumerate_projective_points order, so each identity is a
+popcount: |A_i ∩ B_j| = (a_i & b_j).bit_count().  build_certificate
+verifies the family, once per certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import PROJECTIVE, FamilyPair, verify_cross_intersecting
+from .families import PROJECTIVE, FamilyPair, FamilyViolation, verify_cross_intersecting
 from .field import Field
-from .geometry import char_vector, enumerate_projective_points
+from .geometry import PointMasks, enumerate_projective_points
 from .linalg import Space, rref
 
 
@@ -54,33 +59,34 @@ class CertificateReport:
     q2_bound: int | None = None
 
 
-def _char_vectors(fam: FamilyPair):
+def _incidence_masks(fam: FamilyPair) -> tuple[int, list[int], list[int]]:
+    """t and the A-side and B-side point masks of a projective family."""
+    if fam.kind != PROJECTIVE:
+        raise ValueError("certificates apply to projective families")
     points = enumerate_projective_points(fam.n, fam.field)
-    a_chars = [char_vector(a, points) for a, _ in fam.pairs]
-    b_chars = [char_vector(b, points) for _, b in fam.pairs]
-    return points, a_chars, b_chars
+    masks = PointMasks(points)
+    return (len(points), [masks(a) for a, _ in fam.pairs],
+            [masks(b) for _, b in fam.pairs])
+
+
+def _rows(p: int, t: int, a_masks) -> tuple[tuple[int, ...], ...]:
+    rows = tuple((1,) + tuple(p - 1 if a >> s & 1 else 0 for s in range(t))
+                 for a in a_masks)
+    return rows + ((0,) + (1,) * t, (t % p,) + (p - 1,) * t)
 
 
 def certificate_rows(fam: FamilyPair) -> tuple[tuple[int, ...], ...]:
     """Matrix rows for a projective family, without verifying it."""
-    if fam.kind != PROJECTIVE:
-        raise ValueError("certificates apply to projective families")
-    points, a_chars, _ = _char_vectors(fam)
-    p = fam.field.p
-    t = len(points)
-    rows = [(1,) + tuple((-c) % p for c in chars) for chars in a_chars]
-    rows.append((0,) + (1,) * t)
-    rows.append((t % p,) + ((-1) % p,) * t)
-    return tuple(rows)
+    t, a_masks, _ = _incidence_masks(fam)
+    return _rows(fam.field.p, t, a_masks)
 
 
 def build_certificate(fam: FamilyPair) -> CertificateMatrix:
-    if fam.kind != PROJECTIVE:
-        raise ValueError("certificates apply to projective families")
+    """The matrix of a projective family; FamilyViolation if it does not verify."""
+    rows = certificate_rows(fam)
     report = verify_cross_intersecting(fam)
     if not report.ok:
-        raise ValueError(f"family does not verify: violation {report.violation}")
-    rows = certificate_rows(fam)
+        raise FamilyViolation(report.violation)
     return CertificateMatrix(fam.field.p, fam.m, len(rows[0]) - 1, rows)
 
 
@@ -96,29 +102,19 @@ def evaluate_identities(fam: FamilyPair, mat: CertificateMatrix) -> bool:
         row i  at all-ones    = 0  (mod q)
         row m+2 at w_j        = 0  (mod q)
         row m+1 at all-ones   = t = 1 (mod q), likewise row m+2 at zero.
+
+    Row i at w_j is 1 - |A_i ∩ B_j|, a popcount of two point masks.
     """
-    if mat.rows != certificate_rows(fam) or mat.m != fam.m:
+    t, a_masks, b_masks = _incidence_masks(fam)
+    if mat != CertificateMatrix(fam.field.p, fam.m, t, _rows(fam.field.p, t, a_masks)):
         raise ValueError("certificate matrix does not match the family")
-    _, a_chars, b_chars = _char_vectors(fam)
-    q = fam.field.q
-    t = mat.t
-    m = fam.m
-    for i in range(m):
-        if 1 - sum(x * y for x, y in zip(a_chars[i], b_chars[i])) != 1:
-            return False
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (1 - sum(x * y for x, y in zip(a_chars[i], b_chars[j]))) % q:
-                return False
-    for i in range(m):
-        if (1 - sum(a_chars[i])) % q:
-            return False
-    for j in range(m):
-        if (t - sum(b_chars[j])) % q:
-            return False
-    if t % q != 1:  # value of row m+1 at all-ones and of row m+2 at all-zeros
-        return False
-    return True
+    q, m = fam.field.q, fam.m
+    return (all(1 - (a & b).bit_count() == 1 for a, b in zip(a_masks, b_masks))
+            and all((1 - (a_masks[i] & b_masks[j]).bit_count()) % q == 0
+                    for i in range(m) for j in range(i + 1, m))
+            and all((1 - a.bit_count()) % q == 0 for a in a_masks)
+            and all((t - b.bit_count()) % q == 0 for b in b_masks)
+            and t % q == 1)  # row m+1 at all-ones, row m+2 at all-zeros
 
 
 def matrix_rank(mat: CertificateMatrix) -> int:
@@ -128,7 +124,11 @@ def matrix_rank(mat: CertificateMatrix) -> int:
 
 def certify_projective_bound(fam: FamilyPair) -> CertificateReport:
     """Build the matrix, compute its GF(p) rank, and confirm m <= t - 1."""
-    mat = build_certificate(fam)
+    return certificate_report(fam, build_certificate(fam))
+
+
+def certificate_report(fam: FamilyPair, mat: CertificateMatrix) -> CertificateReport:
+    """Rank and evaluation table of the family's built certificate matrix."""
     rank = matrix_rank(mat)
     independent = rank == mat.m + 2
     table_ok = evaluate_identities(fam, mat)

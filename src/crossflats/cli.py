@@ -12,11 +12,12 @@ import json
 import sys
 from dataclasses import asdict
 
-from .certify import build_certificate, certify_projective_bound
+from .certify import build_certificate, certificate_report
 from .families import (
     AFFINE,
     PROJECTIVE,
     FamilyPair,
+    FamilyViolation,
     construct_extremal_affine,
     construct_lower_bound_affine,
     dump_family,
@@ -120,14 +121,13 @@ def cmd_verify(args) -> int:
 
 def cmd_certify(args) -> int:
     fam = _read_family(args.file)
-    if fam.kind != PROJECTIVE:
-        raise ValueError("certify requires a projective family file")
-    verify = verify_cross_intersecting(fam)
-    if not verify.ok:
-        i, j, reason = verify.violation
+    try:
+        mat = build_certificate(fam)
+    except FamilyViolation as exc:
+        i, j, reason = exc.violation
         print(f"family does not verify: ({i}, {j}) {reason}", file=sys.stderr)
         return EXIT_FAILED
-    report = certify_projective_bound(fam)
+    report = certificate_report(fam, mat)
     payload = asdict(report)
     lines = [
         f"m: {report.m}",
@@ -140,7 +140,6 @@ def cmd_certify(args) -> int:
     if report.q2_bound is not None:
         lines.append(f"q2_bound: {report.q2_bound}")
     if args.emit_matrix:
-        mat = build_certificate(fam)
         payload["matrix"] = [list(row) for row in mat.rows]
         lines.append("matrix:")
         lines.extend("  " + " ".join(str(c) for c in row) for row in mat.rows)

@@ -82,6 +82,15 @@ class VerifyReport:
     violation: tuple[int, int, str] | None = None
 
 
+class FamilyViolation(ValueError):
+    """A family that had to verify does not; ``violation`` is the first
+    violation as VerifyReport gives it."""
+
+    def __init__(self, violation: tuple[int, int, str]):
+        super().__init__(f"family does not verify: violation {violation}")
+        self.violation = violation
+
+
 def _disjoint(kind: str, a, b) -> bool:
     if kind == AFFINE:
         return flats_disjoint(a, b)
@@ -141,7 +150,7 @@ def check_affine_bound(fam: FamilyPair) -> bool:
         raise ValueError("bound check applies to affine families")
     report = verify_cross_intersecting(fam)
     if not report.ok:
-        raise ValueError(f"family does not verify: violation {report.violation}")
+        raise FamilyViolation(report.violation)
     q = fam.field.q
     return fam.m <= 2 * (q ** fam.n - 1) // (q - 1)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import Field
+from .field import MAX_DEGREE, MAX_ORDER, Field
 from .linalg import (
     Space,
     Subspace,
@@ -56,13 +56,18 @@ class AffineFlat:
 
     def points(self):
         """All q^dim points of the flat (order follows the basis coefficients)."""
-        space = self.space
-        for coeffs in itertools.product(range(space.q), repeat=self.direction.dim):
-            p = self.rep
-            for c, row in zip(coeffs, self.direction.basis):
-                if c:
-                    p = vec_add(space, p, vec_scale(space, c, row))
-            yield p
+        space, basis = self.space, self.direction.basis
+        return (_combination(space, self.rep, coeffs, basis)
+                for coeffs in itertools.product(range(space.q), repeat=len(basis)))
+
+
+def _combination(space: Space, base, coeffs, rows) -> tuple[int, ...]:
+    """The point base + sum c_i * rows[i]."""
+    point = base
+    for c, row in zip(coeffs, rows):
+        if c:
+            point = vec_add(space, point, vec_scale(space, c, row))
+    return point
 
 
 def make_flat(point, direction: Subspace) -> AffineFlat:
@@ -91,16 +96,12 @@ def affine_intersect(A: AffineFlat, B: AffineFlat):
     space = _same_space(A.space, B.space)
     diff = vec_sub(space, B.rep, A.rep)
     # Solve rep_A + sum a_i u_i = rep_B + sum b_j v_j for one common point.
-    du = A.direction.dim
     columns = list(A.direction.basis) + [vec_neg(space, r) for r in B.direction.basis]
     rows = [tuple(col[i] for col in columns) for i in range(space.n)]
     x = solve_linear(space.field, rows, diff)
     if x is None:
         return None
-    point = A.rep
-    for coeff, base in zip(x[:du], A.direction.basis):
-        if coeff:
-            point = vec_add(space, point, vec_scale(space, coeff, base))
+    point = _combination(space, A.rep, x[:A.direction.dim], A.direction.basis)
     return make_flat(point, subspace_intersection(A.direction, B.direction))
 
 
@@ -135,14 +136,6 @@ def cosets(sub: Subspace):
 # ---------------------------------------------------------------------------
 # Projective space PG(n, q): the ambient linear space is F_q^(n+1).
 
-def point_key(field: Field, v) -> int:
-    """Total order on projective points: coordinate i is the q^i digit."""
-    e = 0
-    for c in reversed(v):
-        e = e * field.q + c
-    return e
-
-
 def canonical_point(space: Space, v) -> tuple[int, ...]:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     p = _pivot(v)
@@ -156,21 +149,21 @@ def canonical_point(space: Space, v) -> tuple[int, ...]:
 
 def enumerate_projective_points(n: int, field: Field) -> list[tuple[int, ...]]:
     """The t = (q^(n+1) - 1)/(q - 1) canonical points of PG(n, q), in
-    ascending point_key order (this order fixes the index s everywhere)."""
+    ascending order of their reversed coordinates (this order fixes the
+    index s everywhere).  The walk over all q^(n+1) vectors is refused
+    up front when their number exceeds MAX_ORDER."""
     if n < 0:
         raise ValueError(f"projective dimension must be >= 0, got {n}")
     q = field.q
-    length = n + 1
+    # q >= 2, so n + 1 > MAX_DEGREE already means q^(n+1) > MAX_ORDER.
+    if n + 1 > MAX_DEGREE or q ** (n + 1) > MAX_ORDER:
+        raise ValueError(
+            f"PG({n}, {q}) is too large to enumerate: q^(n+1) exceeds {MAX_ORDER}")
     points = []
-    for e in range(1, q ** length):
-        v = []
-        rest = e
-        for _ in range(length):
-            v.append(rest % q)
-            rest //= q
-        v = tuple(v)
+    for rev in itertools.product(range(q), repeat=n + 1):
+        v = rev[::-1]
         p = _pivot(v)
-        if v[p] == 1:
+        if p >= 0 and v[p] == 1:
             points.append(v)
     return points
 
@@ -205,17 +198,19 @@ class ProjectiveSubspace:
         return self.lin.dim == 0
 
     def points(self) -> list[tuple[int, ...]]:
-        """Canonical points of the subspace in point_key order."""
-        space = self.lin.space
-        seen = set()
-        for coeffs in itertools.product(range(space.q), repeat=self.lin.dim):
-            v = space.zero()
-            for c, row in zip(coeffs, self.lin.basis):
-                if c:
-                    v = vec_add(space, v, vec_scale(space, c, row))
-            if any(v):
-                seen.add(canonical_point(space, v))
-        return sorted(seen, key=lambda v: point_key(space.field, v))
+        """Canonical points of the subspace in enumerate_projective_points order.
+
+        The basis is in RREF, so the coefficient of row k is the entry at
+        row k's pivot column: a combination whose first nonzero
+        coefficient is 1 is a canonical point, and every canonical point
+        of the span is exactly one such combination.
+        """
+        space, basis = self.space, self.lin.basis
+        d, zero = len(basis), space.zero()
+        return sorted((_combination(space, zero, (0,) * k + (1,) + rest, basis)
+                       for k in range(d)
+                       for rest in itertools.product(range(space.q), repeat=d - k - 1)),
+                      key=lambda v: v[::-1])
 
 
 def make_projective_subspace(n: int, field: Field, rows) -> ProjectiveSubspace:
@@ -249,13 +244,11 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:
-    """0/1 incidence vector of F against an ordered projective point list,
-    read off F's mask over that order (points are taken up to scaling)."""
-    space = F.space
-    canon = [canonical_point(space, space.check_vector(pt)) for pt in points]
-    masks = PointMasks(canon)
-    mask = masks(F)
-    return tuple((mask >> masks.rank[pt]) & 1 for pt in canon)
+    """0/1 incidence vector of F against an ordered projective point list
+    (points are taken up to scaling)."""
+    space, held = F.space, set(F.points())
+    return tuple(int(canonical_point(space, space.check_vector(pt)) in held)
+                 for pt in points)
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +261,16 @@ class PointMasks:
     two members over the same order meet iff their masks share a bit.
     Flats of F_q^n use the Space.vectors() order, subspaces of PG(n, q)
     the enumerate_projective_points order; a member's points outside the
-    order set no bit.  Masks are memoised per distinct member for the
-    life of the instance.
+    order set no bit.
     """
 
     def __init__(self, points):
         self.rank = {pt: i for i, pt in enumerate(points)}
-        self._memo = {}
 
     def __call__(self, member) -> int:
-        mask = self._memo.get(member)
-        if mask is None:
-            mask = 0
-            for pt in member.points():
-                i = self.rank.get(pt)
-                if i is not None:
-                    mask |= 1 << i
-            self._memo[member] = mask
+        mask = 0
+        for pt in member.points():
+            i = self.rank.get(pt)
+            if i is not None:
+                mask |= 1 << i
         return mask

@@ -39,6 +39,13 @@ def member_points(member):
     return {v for v in span_points(member.lin) if any(v)}
 
 
+def canonical_points(vectors):
+    """The vectors whose first nonzero coordinate is 1, sorted by their
+    reversed coordinates: the projective point order."""
+    return sorted((v for v in vectors if any(v) and next(c for c in v if c) == 1),
+                  key=lambda v: v[::-1])
+
+
 def members_meet(a, b):
     return bool(member_points(a) & member_points(b))
 

@@ -16,15 +16,45 @@ from crossflats.families import (
     AFFINE,
     PROJECTIVE,
     FamilyPair,
+    FamilyViolation,
     construct_extremal_affine,
     dump_family,
     verify_cross_intersecting,
 )
 from crossflats.field import make_field
 from crossflats.geometry import make_projective_subspace
+from crossflats.linalg import Space
+from oracles import canonical_points, member_points
 
 GF2 = make_field(2)
 GF3 = make_field(3)
+
+
+def oracle_certificate(fam):
+    """Matrix rows and evaluation-table verdict from the oracle's point sets
+    (no point masks): 0/1 incidence vectors and integer dot products."""
+    field, m = fam.field, fam.m
+    points = canonical_points(Space(field, fam.n + 1).vectors())
+    t, p, q = len(points), field.p, field.q
+    def incidence(member):
+        held = member_points(member)
+        return [int(pt in held) for pt in points]
+
+    v = [incidence(a) for a, _ in fam.pairs]
+    w = [incidence(b) for _, b in fam.pairs]
+    rows = tuple((1,) + tuple(-x % p for x in vi) for vi in v) + (
+        (0,) + (1,) * t, (t % p,) + (-1 % p,) * t)
+
+    def meet(i, j):
+        return sum(x * y for x, y in zip(v[i], w[j]))
+
+    table_ok = (all(meet(i, i) == 0 for i in range(m))
+                and all((1 - meet(i, j)) % q == 0
+                        for i in range(m) for j in range(i + 1, m))
+                and all((1 - sum(vi)) % q == 0 for vi in v)
+                and all((t - sum(wj)) % q == 0 for wj in w)
+                and t % q == 1)
+    return CertificateMatrix(p, m, t, rows), table_ok
 
 
 def pg12_two_pairs():
@@ -100,6 +130,7 @@ def test_evaluate_identities_fails_on_diagonal_violation():
     rows = certificate_rows(bad)
     mat = CertificateMatrix(2, bad.m, len(rows[0]) - 1, rows)
     assert evaluate_identities(bad, mat) is False
+    assert oracle_certificate(bad) == (mat, False)
 
 
 def test_evaluate_identities_rejects_mismatched_matrix():
@@ -119,8 +150,9 @@ def test_input_preconditions():
         certificate_rows(affine)
     p1 = make_projective_subspace(1, GF2, [(1, 0)])
     bad = FamilyPair(PROJECTIVE, GF2, 1, ((p1, p1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(FamilyViolation) as exc:
         build_certificate(bad)
+    assert exc.value.violation == (1, 1, "diagonal_nonempty")
     with pytest.raises(ValueError):
         certify_projective_bound(bad)
 
@@ -156,16 +188,21 @@ def test_tightness_against_monomial_space():
         assert all(len(row) == mat.t + 1 for row in mat.rows)
 
 
-def test_search_witnesses_in_pg13_certify_with_full_rank():
+def test_search_witness_prefixes_certify_like_the_oracle():
     from crossflats.search import candidates_projective, max_family
 
-    cands = candidates_projective(1, GF3)
-    report = max_family(cands)
-    assert report.max_size == 2  # pairs of distinct points only
-    by_id = {c.id: c for c in cands}
-    pairs = tuple((by_id[i].A, by_id[i].B) for i in report.witness)
-    for cut in range(len(pairs) + 1):
-        fam = FamilyPair(PROJECTIVE, GF3, 1, pairs[:cut])
-        cert = certify_projective_bound(fam)
-        assert cert.rank == fam.m + 2
-        assert cert.bound_confirmed and cert.evaluation_table_ok
+    # PG(1,3) holds pairs of distinct points only; PG(2,2) and PG(2,3) reach 6.
+    for n, field, size in [(1, GF3, 2), (2, GF2, 6), (2, GF3, 6)]:
+        cands = candidates_projective(n, field)
+        report = max_family(cands)
+        assert report.max_size == size
+        by_id = {c.id: c for c in cands}
+        pairs = tuple((by_id[i].A, by_id[i].B) for i in report.witness)
+        for cut in range(len(pairs) + 1):
+            fam = FamilyPair(PROJECTIVE, field, n, pairs[:cut])
+            mat, table_ok = oracle_certificate(fam)
+            assert certificate_rows(fam) == mat.rows
+            assert table_ok and evaluate_identities(fam, mat) is True
+            cert = certify_projective_bound(fam)
+            assert cert.rank == fam.m + 2
+            assert cert.bound_confirmed and cert.evaluation_table_ok

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from crossflats import certify as certify_module
 from crossflats import cli as cli_module
+from crossflats import families as families_module
 from crossflats import field as field_module
 from crossflats.cli import main, parse_prime_power
 from crossflats.families import dump_family, load_family
-from crossflats.field import Field
+from crossflats.field import MAX_ORDER, Field
 
 
 def run(capsys, *argv):
@@ -70,7 +72,21 @@ def test_verify_exit_codes_on_corrupted_families(tmp_path, capsys):
     assert json.loads(stdout)["violation"]["reason"] == "offdiagonal_empty"
 
 
-def test_search_and_certify_projective(tmp_path, capsys):
+def _count_verifies(monkeypatch):
+    """Record every verify_cross_intersecting call, under each module's name."""
+    calls = []
+    verify = families_module.verify_cross_intersecting
+
+    def counting(fam):
+        calls.append(fam)
+        return verify(fam)
+
+    for module in (families_module, certify_module, cli_module):
+        monkeypatch.setattr(module, "verify_cross_intersecting", counting)
+    return calls
+
+
+def test_search_and_certify_projective(tmp_path, capsys, monkeypatch):
     witness = tmp_path / "pg12.json"
     code, stdout, _ = run(capsys, "search", "--n", "1", "--q", "2",
                           "--kind", "projective", "--format", "json",
@@ -83,6 +99,7 @@ def test_search_and_certify_projective(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(witness))
     assert code == 0
 
+    verifies = _count_verifies(monkeypatch)
     code, stdout, _ = run(capsys, "certify", str(witness), "--format", "json",
                           "--emit-matrix")
     assert code == 0
@@ -91,6 +108,12 @@ def test_search_and_certify_projective(tmp_path, capsys):
     assert cert["rank"] == cert["m"] + 2
     assert len(cert["matrix"]) == cert["m"] + 2
     assert all(len(row) == cert["t"] + 1 for row in cert["matrix"])
+    assert len(verifies) == 1  # one verify pass per certify command
+
+    code, stdout, _ = run(capsys, "certify", str(witness))
+    assert code == 0
+    assert "bound_confirmed: true" in stdout
+    assert len(verifies) == 2
 
 
 def test_certify_rejects_affine_input(tmp_path, capsys):
@@ -101,7 +124,7 @@ def test_certify_rejects_affine_input(tmp_path, capsys):
     assert "projective" in err
 
 
-def test_certify_fails_on_unverified_family(tmp_path, capsys):
+def test_certify_fails_on_unverified_family(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "search", "--n", "1", "--q", "2",
                           "--kind", "projective", "--out", "-")
     # stdout holds the text report then the family JSON; rebuild the file
@@ -110,9 +133,11 @@ def test_certify_fails_on_unverified_family(tmp_path, capsys):
     data["pairs"][0]["B"] = data["pairs"][0]["A"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    verifies = _count_verifies(monkeypatch)
     code, _, err = run(capsys, "certify", str(bad))
     assert code == 1
     assert "does not verify" in err
+    assert len(verifies) == 1
 
 
 def test_search_text_output_and_exit_codes(capsys):
@@ -231,6 +256,25 @@ def test_oversized_field_order_exits_2(capsys, monkeypatch, q):
     code, _, err = run(capsys, "construct", "--n", "1", "--q", q)
     assert code == 2
     assert str(1 << 16) in err
+
+
+@pytest.mark.usefixtures("refuse_point_walk")
+def test_certify_bounds_the_point_walk(tmp_path, capsys):
+    data = {"version": 1, "kind": "projective",
+            "field": {"p": 2, "k": 1, "modulus": []}, "n": 24,
+            "point_order": "lex-first-nonzero-1", "pairs": []}
+    path = tmp_path / "pg24.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "certify", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and str(MAX_ORDER) in err
+
+
+@pytest.mark.usefixtures("refuse_point_walk")
+def test_points_bounds_the_point_walk(capsys):
+    code, _, err = run(capsys, "points", "--n", "22", "--q", "2")
+    assert code == 2
+    assert err.startswith("error: ") and str(MAX_ORDER) in err
 
 
 def test_rejects_unknown_file_version(tmp_path, capsys):

@@ -10,6 +10,7 @@ from crossflats.families import (
     OFFDIAGONAL_EMPTY,
     PROJECTIVE,
     FamilyPair,
+    FamilyViolation,
     check_affine_bound,
     construct_extremal_affine,
     construct_lower_bound_affine,
@@ -108,8 +109,9 @@ def test_check_affine_bound():
     assert check_affine_bound(fam)  # tight: 6 <= 6
     assert check_affine_bound(FamilyPair(AFFINE, GF2, 2, ()))
     assert check_affine_bound(construct_lower_bound_affine(3, GF2))
-    with pytest.raises(ValueError):
+    with pytest.raises(FamilyViolation) as exc:
         check_affine_bound(line1_family(["00"]))  # does not verify
+    assert exc.value.violation == (1, 1, "diagonal_nonempty")
     proj = FamilyPair(PROJECTIVE, GF2, 1, ())
     with pytest.raises(ValueError):
         check_affine_bound(proj)

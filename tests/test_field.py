@@ -172,6 +172,10 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13]
     assert [n for n in range(2, 14) if is_prime(n)] == primes
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+    for n in range(1000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n)))
+    # 65521 is the largest prime below MAX_ORDER
+    assert [is_prime(n) for n in (65519, 65521, 65535, 65536)] == [True, True, False, False]
 
 
 def test_table_fields_cover_the_zech_path():

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from crossflats.field import make_field
+from crossflats.field import MAX_ORDER, make_field
 from crossflats.geometry import (
     AffineFlat,
     PointMasks,
@@ -26,7 +26,7 @@ from crossflats.geometry import (
 )
 from crossflats.linalg import Space, enumerate_hyperplanes, enumerate_subspaces, rref
 import oracles
-from oracles import flat_points, member_points, members_meet, span_points
+from oracles import canonical_points, flat_points, member_points, members_meet, span_points
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -127,12 +127,28 @@ def test_projective_point_count_and_canonicality(field, n):
     assert len(pts) == (q ** (n + 1) - 1) // (q - 1)
     assert len(set(pts)) == len(pts)
     space = Space(field, n + 1)
+    assert pts == canonical_points(space.vectors())
     for p in pts:
         assert canonical_point(space, p) == p
     # every nonzero vector canonicalizes onto the list
     for v in space.vectors():
         if any(v):
             assert canonical_point(space, v) in pts
+
+
+@pytest.mark.parametrize("n,p,k", [(16, 2, 1), (1, 257, 1), (2, 41, 1), (4, 2, 4),
+                                   (10 ** 9, 3, 1)])
+def test_projective_point_walk_is_bounded_before_it_starts(refuse_point_walk, n, p, k):
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        enumerate_projective_points(n, make_field(p, k))
+
+
+@pytest.mark.parametrize("n,p,k", [(15, 2, 1), (7, 2, 2), (3, 2, 4), (1, 2, 8)])
+def test_largest_admitted_point_walks_run(n, p, k):
+    q = p ** k
+    assert q ** (n + 1) == MAX_ORDER
+    points = enumerate_projective_points(n, make_field(p, k))
+    assert len(points) == (MAX_ORDER - 1) // (q - 1)
 
 
 def test_gaussian_point_count():
@@ -239,6 +255,11 @@ def test_projective_subspace_point_lists():
     space = Space(GF2, 3)
     expected = {canonical_point(space, v) for v in span_points(line.lin) if any(v)}
     assert set(line.points()) == expected
+    # every subspace of PG(2, q), q = 2, 3, 4: the canonical vectors of the
+    # oracle's span, in point order
+    for field in (GF2, GF3, make_field(2, 2)):
+        for sub in enumerate_subspaces(Space(field, 3)):
+            assert ProjectiveSubspace(sub).points() == canonical_points(span_points(sub))
 
 
 def test_mixed_space_errors():
