@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: construct, verify, certify, search, hyperplanes, points.
-Exit codes: 0 success, 1 verification/certification failure, 2 usage or
-input error, 3 search node budget exceeded.
+Exit codes: 0 success, 1 verification/certification failure, 2 usage,
+input or output error (such as a closed stdout), 3 search node budget
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -164,6 +166,7 @@ def cmd_search(args) -> int:
         "nodes_explored": report.nodes_explored,
         "restricted": report.restricted,
         "candidates": len(cands),
+        "blocks": report.blocks,
     }
     lines = [
         f"candidates: {len(cands)}",
@@ -171,6 +174,7 @@ def cmd_search(args) -> int:
         f"witness: {list(report.witness)}",
         f"nodes_explored: {report.nodes_explored}",
         f"restricted: {str(report.restricted).lower()}",
+        f"blocks: {report.blocks}",
     ]
     _emit(args, payload, lines)
     if args.out is not None:
@@ -259,7 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout():
+    """Point a closed stdout's fd at devnull, so the interpreter's final
+    flush does not fail again (the SIGPIPE note in Python's signal docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # no real fd to redirect
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, e.g. `| head`
+        _silence_stdout()
+        return EXIT_USAGE
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

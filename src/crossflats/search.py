@@ -8,13 +8,39 @@ the search is over ordered sequences, not subsets.
 Each member carries its point mask (geometry.PointMasks): an integer
 with one bit per point of the ambient space, so "A meets B" is a single
 AND.  The size of an instance is bounded in closed form against the
-candidate cap before anything is enumerated.
+candidate cap before anything is enumerated.  The compatibility graph
+is read off a point index: succ[i] (the candidates that may follow i) is
+the union, over the points of A_i, of the candidates whose B holds that
+point, and pred[i] (those that may precede i) is the union, over the
+points of B_i, of the candidates whose A holds it.
+
+Co-components.  Call i and j linked unless each may follow the other
+(j in succ[i] and j in pred[i]); the blocks are the connected components
+of this relation, found by a bitset BFS.  Restricted instances split by
+hyperplane direction (cosets of distinct hyperplanes always meet), while
+unrestricted and projective instances are usually one block.  Each block
+is searched on its own and the results combine exactly:
+
+1. Every pair from two different blocks is compatible both ways, so any
+   interleaving of valid block sequences is valid, and any valid
+   sequence restricts to a valid sequence in each block.  The maximum is
+   therefore the sum of the block maxima.
+2. The lexicographically smallest maximum sequence S restricts, in each
+   block, to that block's smallest maximum sequence W: otherwise writing
+   W into the positions S gives that block yields a valid maximum
+   sequence smaller than S.
+3. So S interleaves the block witnesses.  Their entries are distinct,
+   and among the interleavings of fixed sequences with distinct entries
+   the smallest one takes the smallest head at every step.
+
+An instance with one block runs the plain search on all candidates.
 
 max_family explores extensions depth-first in candidate order.  The
 subtree below a partial sequence depends only on the set of candidates
 still feasible as successors, so results are memoized on that set, held
 as an int bitset over candidate positions; this keeps the search exact
-while collapsing the factorial number of prefix orders.  The reported
+while collapsing the factorial number of prefix orders.  All blocks share
+the memo and the node count (and so the node budget).  The reported
 witness is the lexicographically smallest maximum sequence, and
 sequential runs are fully reproducible.
 """
@@ -66,6 +92,7 @@ class SearchReport:
     witness: tuple[int, ...]
     nodes_explored: int
     restricted: bool
+    blocks: int = 1
 
 
 def compatible(p: CandidatePair, q: CandidatePair) -> bool:
@@ -133,23 +160,86 @@ def candidates_projective(n: int, field: Field,
     return _disjoint_pairs([members], masks, max_candidates)
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _point_index(masks: list[int], width: int) -> list[int]:
+    """index[b] = bitset of the positions i whose mask holds point b < width."""
+    index = [0] * width
+    for i, mask in enumerate(masks):
+        for b in _bits(mask):
+            index[b] |= 1 << i
+    return index
+
+
+def _union(index: list[int], mask: int) -> int:
+    """OR of index[b] over the set bits b of mask."""
+    out = 0
+    for b in _bits(mask):
+        out |= index[b]
+    return out
+
+
+def _compatibility(candidates: list[CandidatePair]) -> tuple[list[int], list[int]]:
+    """(succ, pred): succ[i] holds the j with A_i meeting B_j, pred[i] the j
+    with A_j meeting B_i, as bitsets over positions, i itself excluded."""
+    width = max(((c.A_mask | c.B_mask).bit_length() for c in candidates), default=0)
+    a_index = _point_index([c.A_mask for c in candidates], width)
+    b_index = _point_index([c.B_mask for c in candidates], width)
+    succ = [_union(b_index, c.A_mask) & ~(1 << i) for i, c in enumerate(candidates)]
+    pred = [_union(a_index, c.B_mask) & ~(1 << i) for i, c in enumerate(candidates)]
+    return succ, pred
+
+
+def _co_components(succ: list[int], pred: list[int]) -> list[int]:
+    """Blocks of positions, as bitsets ordered by their smallest member:
+    components of "i, j linked unless each may follow the other"."""
+    blocks = []
+    left = (1 << len(succ)) - 1
+    while left:
+        frontier = block = left & -left
+        left ^= block
+        while frontier:
+            v = frontier & -frontier
+            frontier ^= v
+            i = v.bit_length() - 1
+            reached = left & ~(succ[i] & pred[i])
+            left ^= reached
+            block |= reached
+            frontier |= reached
+        blocks.append(block)
+    return blocks
+
+
+def _merge_by_head(seqs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Interleave sequences with distinct entries, always taking the
+    smallest head: the lexicographically smallest interleaving."""
+    pending = [s for s in seqs if s]
+    merged = []
+    while pending:
+        first = min(pending)  # heads are distinct, so the head decides
+        pending.remove(first)
+        merged.append(first[0])
+        if len(first) > 1:
+            pending.append(first[1:])
+    return tuple(merged)
+
+
 def max_family(candidates: list[CandidatePair], limit: int | None = None,
                restricted: bool = False) -> SearchReport:
     """Exact maximum ordered-sequence length over the given candidates.
 
     Raises BudgetExceeded when more than ``limit`` nodes are visited.
     The witness lists candidate ids; it is the lexicographically smallest
-    maximum sequence with respect to the given candidate order.
+    maximum sequence with respect to the given candidate order.  Each
+    co-component block is searched separately (see the module docstring).
     """
-    k = len(candidates)
-    # succ[i] = bitset of the candidates that may appear anywhere after i.
-    succ = []
-    for i, p in enumerate(candidates):
-        bits = 0
-        for j, other in enumerate(candidates):
-            if j != i and compatible(p, other):
-                bits |= 1 << j
-        succ.append(bits)
+    succ, pred = _compatibility(candidates)
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
     nodes = 0
 
@@ -173,6 +263,9 @@ def max_family(candidates: list[CandidatePair], limit: int | None = None,
         memo[feasible] = (best_len, best_seq)
         return best_len, best_seq
 
-    size, seq = extend((1 << k) - 1)
+    blocks = _co_components(succ, pred)
+    results = [extend(block) for block in blocks]
+    size = sum(length for length, _ in results)
+    seq = _merge_by_head([block_seq for _, block_seq in results])
     witness = tuple(candidates[i].id for i in seq)
-    return SearchReport(size, witness, nodes, restricted)
+    return SearchReport(size, witness, nodes, restricted, len(blocks))

@@ -66,3 +66,28 @@ def naive_max_family(candidates):
                    for a in range(r) for b in range(a + 1, r)):
                 return r, tuple(candidates[i].id for i in seq)
     return 0, ()
+
+
+def reference_max_family(candidates):
+    """Max ordered-sequence length and its lex-min witness of candidate ids,
+    by a plain memoised DP over members_meet: no point masks and no split
+    into blocks.  The subtree below a prefix depends only on the set of
+    positions still feasible, which is the memo key."""
+    k = len(candidates)
+    after = [frozenset(j for j in range(k)
+                       if j != i and members_meet(candidates[i].A, candidates[j].B))
+             for i in range(k)]
+    memo = {}
+
+    def best(feasible):
+        if feasible not in memo:
+            result = (0, ())
+            for i in sorted(feasible):
+                size, seq = best(feasible & after[i])
+                if size + 1 > result[0]:
+                    result = (size + 1, (i, *seq))
+            memo[feasible] = result
+        return memo[feasible]
+
+    size, seq = best(frozenset(range(k)))
+    return size, tuple(candidates[i].id for i in seq)

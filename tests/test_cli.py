@@ -1,6 +1,11 @@
 """CLI grammar, exit codes, round trips, canonical JSON output."""
 
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -170,6 +175,17 @@ def test_json_search_report_fields(capsys):
     assert len(report["witness"]) == 8
     assert report["restricted"] is True
     assert isinstance(report["nodes_explored"], int)
+    assert report["blocks"] == 4  # one per hyperplane direction
+
+
+def test_search_reports_its_block_count(capsys):
+    code, stdout, _ = run(capsys, "search", "--n", "2", "--q", "5", "--kind", "affine",
+                          "--restricted", "--format", "json")
+    assert code == 0
+    assert json.loads(stdout)["blocks"] == 6
+    code, stdout, _ = run(capsys, "search", "--n", "2", "--q", "3", "--kind", "projective")
+    assert code == 0
+    assert "blocks: 1" in stdout.splitlines()
 
 
 def test_hyperplanes_and_points_listings(capsys):
@@ -298,3 +314,33 @@ def test_json_output_is_stable(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["points", "--n", "2", "--q", "2"]) == 2
+
+
+@pytest.mark.parametrize("n", [2, 14], ids=["buffered", "mid-write"])
+def test_closed_stdout_pipe_exits_2_quietly(n):
+    """With stdout block-buffered, a small listing fails only when main
+    flushes it and a large one (32,767 lines at n = 14) while printing;
+    neither may fail again when the interpreter flushes at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from crossflats.cli import main; sys.exit(main())",
+             "points", "--n", str(n), "--q", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")

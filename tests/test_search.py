@@ -1,9 +1,13 @@
 """Candidate enumeration, compatibility, and the exact search."""
 
+import functools
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflats import search
 from crossflats.cli import main
@@ -20,10 +24,11 @@ from crossflats.search import (
     compatible,
     max_family,
 )
-from oracles import member_points, members_meet, naive_max_family
+from oracles import member_points, members_meet, naive_max_family, reference_max_family
 
 GF2 = make_field(2)
 GF3 = make_field(3)
+GF4 = make_field(2, 2)
 
 
 def test_restricted_candidates_line():
@@ -221,3 +226,58 @@ def test_bad_dimension_rejected():
         candidates_affine(0, GF2, restricted=True)
     with pytest.raises(ValueError):
         candidates_projective(-1, GF2)
+
+
+@functools.cache
+def _pool(name):
+    return {
+        "AG(2,3)-restricted": lambda: candidates_affine(2, GF3, restricted=True),
+        "AG(2,4)-restricted": lambda: candidates_affine(2, GF4, restricted=True),
+        "AG(3,2)-restricted": lambda: candidates_affine(3, GF2, restricted=True),
+        "AG(2,2)-unrestricted": lambda: candidates_affine(2, GF2, restricted=False),
+        "PG(1,3)": lambda: candidates_projective(1, GF3),
+    }[name]()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["AG(2,3)-restricted", "AG(2,4)-restricted",
+                             "AG(3,2)-restricted", "AG(2,2)-unrestricted", "PG(1,3)"]),
+       data=st.data())
+def test_decomposed_search_matches_the_reference_dp(name, data):
+    pool = _pool(name)
+    size = data.draw(st.integers(0, min(24, len(pool))))
+    positions = data.draw(st.permutations(range(len(pool))))[:size]
+    if data.draw(st.booleans()):  # candidate order, else shuffled
+        positions.sort()
+    subset = [pool[i] for i in positions]
+    report = max_family(subset)
+    assert (report.max_size, report.witness) == reference_max_family(subset)
+
+
+def test_blocks_and_node_counts():
+    report = max_family(candidates_affine(2, make_field(5), restricted=True),
+                        restricted=True)
+    assert report.max_size == 12
+    assert report.witness == (0, 4, 20, 24, 40, 44, 60, 64, 80, 84, 100, 104)
+    assert (report.blocks, report.nodes_explored) == (6, 246)
+    # Every restricted AG(2,2) candidate is its own block: two nodes each.
+    report = max_family(candidates_affine(2, GF2, restricted=True))
+    assert (report.blocks, report.nodes_explored) == (6, 12)
+
+
+def test_blocks_share_the_node_budget():
+    cands = candidates_affine(2, GF2, restricted=True)
+    with pytest.raises(BudgetExceeded):
+        max_family(cands, limit=11)
+    assert max_family(cands, limit=12).max_size == 6
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 7), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+def test_restricted_maxima_reach_the_sharp_bound(n, q, tmp_path, capsys):
+    out = tmp_path / "witness.json"
+    code = main(["search", "--n", str(n), "--q", str(q), "--kind", "affine",
+                 "--restricted", "--format", "json", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["max_size"] == 2 * (q ** n - 1) // (q - 1)
+    assert main(["verify", str(out)]) == 0
