@@ -32,7 +32,6 @@ from .geometry import (
     gaussian_point_count,
     make_flat,
     make_projective_subspace,
-    proj_intersect,
 )
 from .linalg import (
     Hyperplane,
@@ -98,7 +97,6 @@ __all__ = [
     "make_flat",
     "make_projective_subspace",
     "max_family",
-    "proj_intersect",
     "rref",
     "subspace_intersection",
     "subspace_sum",

@@ -26,7 +26,7 @@ from .families import (
     load_family,
     verify_cross_intersecting,
 )
-from .field import MAX_ORDER, Field, prime_factors
+from .field import MAX_DEGREE, MAX_ORDER, Field, prime_factors
 from .geometry import enumerate_projective_points
 from .linalg import Space, enumerate_hyperplanes
 from .search import (
@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# construct and hyperplanes refuse to write more field entries than this.
+MAX_OUTPUT_ENTRIES = 1 << 19
 
 
 def parse_prime_power(text: str) -> Field:
@@ -98,8 +101,28 @@ def _read_family(path: str) -> FamilyPair:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _bound_hyperplane_work(n: int, field: Field, per_hyperplane: int):
+    """Refuse, before anything is enumerated, a walk over more than
+    MAX_ORDER vectors of F_q^n, or an output of more than
+    MAX_OUTPUT_ENTRIES field entries: per_hyperplane entries for each of
+    the t = (q^n - 1)/(q - 1) hyperplanes."""
+    if n < 1:
+        return  # the command itself rejects the dimension
+    q = field.q
+    # q >= 2, so n > MAX_DEGREE already means q^n > MAX_ORDER.
+    if n > MAX_DEGREE or q ** n > MAX_ORDER:
+        raise ValueError(f"F_{q}^{n} is too large to enumerate: q^n exceeds {MAX_ORDER}")
+    if (q ** n - 1) // (q - 1) * per_hyperplane > MAX_OUTPUT_ENTRIES:
+        raise ValueError(f"n = {n}, q = {q} would output more than "
+                         f"{MAX_OUTPUT_ENTRIES} field entries")
+
+
 def cmd_construct(args) -> int:
     field = parse_prime_power(args.q)
+    # Each pair is two flats of n^2 entries (rep and n - 1 direction rows);
+    # the full family has two pairs per hyperplane, --lower-bound one.
+    pairs = 1 if args.lower_bound else 2
+    _bound_hyperplane_work(args.n, field, pairs * 2 * args.n * args.n)
     if args.lower_bound:
         fam = construct_lower_bound_affine(args.n, field)
     else:
@@ -186,6 +209,7 @@ def cmd_search(args) -> int:
 
 def cmd_hyperplanes(args) -> int:
     field = parse_prime_power(args.q)
+    _bound_hyperplane_work(args.n, field, args.n)
     normals = [h.normal for h in enumerate_hyperplanes(Space(field, args.n))]
     payload = {"n": args.n, "q": field.q, "count": len(normals),
                "normals": [list(v) for v in normals]}

@@ -10,8 +10,8 @@ row they are given, and a Subspace(...) built by a caller validates its
 RREF invariants.  Past that point the data is trusted.  _rref_rows is the
 one elimination kernel; it and the vec_* helpers run on the field's
 unchecked operations, and the subspaces this module builds from kernel
-output (rref, subspace_sum, subspace_intersection, null_space,
-enumerate_subspaces) skip validation.
+output (rref, subspace_sum, subspace_intersection, annihilator,
+null_space, enumerate_subspaces) skip validation.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ def vec_neg(space: Space, v) -> tuple[int, ...]:
 
 def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
     return tuple(space.field.unchecked.scale(c, v))
+
+
+def vec_dot(space: Space, u, v) -> int:
+    ops = space.field.unchecked
+    total = 0
+    for a, b in zip(u, v):
+        total = ops.add(total, ops.mul(a, b))
+    return total
 
 
 def _pivot(row) -> int:
@@ -212,10 +220,11 @@ def contains(U: Subspace, v) -> bool:
     return not any(reduce_mod_basis(U, v))
 
 
-def null_space(space: Space, rows) -> Subspace:
-    """Canonical basis of {x : r . x = 0 for every row r}."""
-    reduced = _rref_rows(space.field, [space.check_vector(r) for r in rows], space.n)
-    pivots = [_pivot(r) for r in reduced]
+def annihilator(U: Subspace) -> Subspace:
+    """Canonical basis of {x : u . x = 0 for every u in U}, read off U's
+    RREF basis: one vector per non-pivot column."""
+    space, reduced = U.space, U.basis
+    pivots = U.pivot_columns()
     neg = space.field.unchecked.neg
     basis = []
     for free in range(space.n):
@@ -227,6 +236,11 @@ def null_space(space: Space, rows) -> Subspace:
             v[p] = neg(reduced[i][free])
         basis.append(tuple(v))
     return _span(space, basis)
+
+
+def null_space(space: Space, rows) -> Subspace:
+    """Canonical basis of {x : r . x = 0 for every row r}."""
+    return annihilator(rref(space, rows))
 
 
 def solve_linear(field: Field, rows, rhs):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -199,6 +200,40 @@ def test_hyperplanes_and_points_listings(capsys):
     code, stdout, _ = run(capsys, "points", "--n", "1", "--q", "2")
     assert code == 0
     assert stdout.splitlines() == ["count: 3", "(1, 0)", "(0, 1)", "(1, 1)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "16", "--q", "2"],
+    ["construct", "--n", "16", "--q", "2", "--lower-bound"],
+    ["hyperplanes", "--n", "16", "--q", "2"],
+    ["construct", "--n", "8", "--q", "3"],
+    ["hyperplanes", "--n", "5", "--q", "16"],
+    ["hyperplanes", "--n", "2", "--q", "2^16"],
+    ["construct", "--n", str(10 ** 9), "--q", "2"],
+])
+def test_construct_and_hyperplanes_bound_their_output_first(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before bounding the output")
+
+    for name in ("enumerate_hyperplanes", "construct_extremal_affine",
+                 "construct_lower_bound_affine"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_every_construct_and_hyperplanes_instance_in_use_is_accepted(capsys, tmp_path):
+    # The instances of the tests, the README and the benchmark workloads.
+    for n, q in [(1, "2"), (2, "2"), (3, "2"), (4, "2"), (6, "2"), (2, "3"), (3, "3"),
+                 (4, "3"), (1, "4"), (2, "4"), (3, "4"), (2, "5"), (3, "8")]:
+        out = str(tmp_path / f"fam_{n}_{q}.json")
+        assert run(capsys, "construct", "--n", str(n), "--q", q, "--out", out)[0] == 0
+        assert run(capsys, "construct", "--n", str(n), "--q", q, "--lower-bound")[0] == 0
+    for n, q in [(2, "2"), (3, "2")]:
+        assert run(capsys, "hyperplanes", "--n", str(n), "--q", q)[0] == 0
 
 
 def test_usage_errors(capsys, tmp_path):

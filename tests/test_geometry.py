@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,6 @@ from crossflats.geometry import (
     gaussian_point_count,
     make_flat,
     make_projective_subspace,
-    proj_intersect,
     projective_disjoint,
     projective_empty,
     projective_whole,
@@ -174,29 +174,106 @@ def test_char_vector_examples():
     points = enumerate_projective_points(1, GF2)
     assert char_vector(projective_whole(1, GF2), points) == (1, 1, 1)
     assert char_vector(projective_empty(1, GF2), points) == (0, 0, 0)
+    empty = projective_empty(1, GF2)
+    assert empty.proj_dim == -1 and empty.is_empty()
+    assert projective_disjoint(empty, projective_whole(1, GF2))
     p1 = make_projective_subspace(1, GF2, [(1, 0)])
     assert char_vector(p1, points) == (1, 0, 0)
 
 
-def test_proj_intersect_examples():
-    p1 = make_projective_subspace(1, GF2, [(1, 0)])
-    p2 = make_projective_subspace(1, GF2, [(0, 1)])
-    empty = proj_intersect(p1, p2)
-    assert empty.proj_dim == -1 and empty.is_empty()
-    whole = projective_whole(2, GF2)
-    line = make_projective_subspace(2, GF2, [(1, 0, 0), (0, 1, 0)])
-    assert proj_intersect(line, whole) == line
-    assert len(proj_intersect(line, whole).points()) == 3
+def _dot(field, u, v):
+    total = 0
+    for a, b in zip(u, v):
+        total = field.add(total, field.mul(a, b))
+    return total
 
 
-def test_proj_intersect_matches_point_sets_in_pg22():
-    space = Space(GF2, 3)
-    members = [ProjectiveSubspace(s) for s in enumerate_subspaces(space)]
-    for a, b in itertools.product(members, repeat=2):
-        got = proj_intersect(a, b)
-        expected = set(a.points()) & set(b.points())
-        assert set(got.points()) == expected
-        assert projective_disjoint(a, b) == (not expected)
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (2, 2, 2), (2, 3, 2)])
+def test_equations_define_the_flat_exactly(n, p, k):
+    # Every flat of AG(3,2), AG(2,4) and AG(2,9): x is in the flat iff it
+    # satisfies every equation row [w | w.rep].
+    field = make_field(p, k)
+    space = Space(field, n)
+    for flat in enumerate_flats(space):
+        rows = flat.equations
+        assert len(rows) == n - flat.dim
+        points = flat_points(flat)
+        for x in space.vectors():
+            holds = all(_dot(field, row[:n], x) == row[n] for row in rows)
+            assert holds == (x in points)
+
+
+def test_equal_flats_compare_and_hash_alike_with_or_without_equations():
+    space = Space(GF3, 3)
+    direction = rref(space, [(1, 2, 0)])
+    a = make_flat((0, 1, 1), direction)
+    b = make_flat((1, 0, 1), direction)  # (1, 0, 1) - (0, 1, 1) = (1, 2, 0)
+    assert a.equations
+    assert "equations" in vars(a) and "equations" not in vars(b)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == repr(b)
+    assert b.equations == a.equations
+    assert make_flat((0, 0, 1), direction) != a
+
+
+def _random_combination(rng, field, rows, n):
+    v = (0,) * n
+    for row in rows:
+        c = rng.randrange(field.q)
+        v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, row))
+    return v
+
+
+def _random_flat(rng, space, dim, generators):
+    """A random flat whose direction is a dim-dimensional span of
+    combinations of the generators."""
+    n = space.n
+    while True:
+        direction = rref(space, [_random_combination(rng, space.field, generators, n)
+                                 for _ in range(dim)])
+        if direction.dim == dim:
+            return make_flat(tuple(rng.randrange(space.q) for _ in range(n)), direction)
+
+
+@pytest.mark.parametrize("n,p,k", [(4, 3, 1), (3, 3, 2)])
+def test_flats_disjoint_matches_the_oracle_on_both_stacks(n, p, k):
+    # Seeded random pairs of AG(4,3) and AG(3,9) for every (dim A, dim B).
+    # The equation stack (2n - dim A - dim B rows) is used when it is
+    # smaller than the direction stack (dim A + dim B + 1 rows), i.e. when
+    # dim A + dim B >= n; the stacks differ by one row on each side of
+    # that line.  Besides random pairs, some are planted to meet (B through
+    # a point of A) and some to be disjoint (both directions in one
+    # hyperplane H, the reps in different cosets of H).
+    rng = random.Random(20 + n)
+    field = make_field(p, k)
+    space = Space(field, n)
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    hyperplanes = enumerate_hyperplanes(space)
+    seen = set()
+    for dim_a, dim_b in itertools.product(range(n + 1), repeat=2):
+        pairs = [(_random_flat(rng, space, dim_a, identity),
+                  _random_flat(rng, space, dim_b, identity)) for _ in range(4)]
+        for _ in range(2):
+            a = _random_flat(rng, space, dim_a, identity)
+            b = _random_flat(rng, space, dim_b, identity)
+            pairs.append((a, make_flat(a.rep, b.direction)))
+        if max(dim_a, dim_b) < n:
+            for _ in range(4):
+                h = rng.choice(hyperplanes)
+                kernel = h.kernel().basis
+                a = _random_flat(rng, space, dim_a, kernel)
+                b = _random_flat(rng, space, dim_b, kernel)
+                while _dot(field, h.normal, b.rep) == _dot(field, h.normal, a.rep):
+                    b = _random_flat(rng, space, dim_b, kernel)
+                pairs.append((a, b))
+        by_equations = 2 * n - dim_a - dim_b < dim_a + dim_b + 1
+        assert by_equations == (dim_a + dim_b >= n)
+        for a, b in pairs:
+            disjoint = not flat_points(a) & flat_points(b)
+            assert flats_disjoint(a, b) == disjoint
+            assert flats_disjoint(b, a) == disjoint
+            seen.add((by_equations, disjoint))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("kind,n,field", [
@@ -266,13 +343,13 @@ def test_mixed_space_errors():
     p_small = make_projective_subspace(1, GF2, [(1, 0)])
     p_big = make_projective_subspace(2, GF2, [(1, 0, 0)])
     with pytest.raises(ValueError):
-        proj_intersect(p_small, p_big)
-    with pytest.raises(ValueError):
         char_vector(p_big, enumerate_projective_points(1, GF2))
     s2 = Space(GF2, 2)
     a = make_flat((0, 0), rref(s2, [(1, 0)]))
     b = make_flat((0, 0, 0), rref(Space(GF2, 3), [(1, 0, 0)]))
     with pytest.raises(ValueError):
         affine_intersect(a, b)
+    with pytest.raises(ValueError):
+        flats_disjoint(a, b)
     with pytest.raises(ValueError):
         canonical_point(s2, (0, 0))

@@ -13,8 +13,8 @@ from crossflats import search
 from crossflats.cli import main
 from crossflats.families import AFFINE, PROJECTIVE, FamilyPair, verify_cross_intersecting
 from crossflats.field import make_field
-from crossflats.geometry import enumerate_flats
-from crossflats.linalg import Space
+from crossflats.geometry import PointMasks, cosets, enumerate_flats
+from crossflats.linalg import Space, enumerate_hyperplanes
 from crossflats.search import (
     BudgetExceeded,
     CandidateCapExceeded,
@@ -48,6 +48,29 @@ def test_restricted_candidate_counts(n, field, count):
     for c in cands:
         assert c.A.direction == c.B.direction
         assert c.A != c.B
+
+
+# Every restricted AG(n, q) with q^n <= 256 (q^n <= 128 at q = 2) over
+# prime, binary and odd-extension (Zech) fields.
+RESTRICTED_INSTANCES = [(n, p, k) for p, k, top in [
+    (2, 1, 7), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 2), (2, 3, 2), (3, 2, 2),
+    (2, 4, 2), (5, 2, 1), (3, 3, 1)] for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("n,p,k", RESTRICTED_INSTANCES)
+def test_restricted_candidates_match_a_walk_over_each_coset(n, p, k):
+    # The reference masks each coset by walking its own points.
+    field = make_field(p, k)
+    space = Space(field, n)
+    masks = PointMasks(space.vectors())
+    expected = []
+    for h in enumerate_hyperplanes(space):
+        group = [(c, masks(c)) for c in cosets(h.kernel())]
+        for (a, a_mask), (b, b_mask) in itertools.product(group, repeat=2):
+            if a != b:
+                expected.append((len(expected), a, b, a_mask, b_mask))
+    cands = candidates_affine(n, field, restricted=True, max_candidates=len(expected))
+    assert [(c.id, c.A, c.B, c.A_mask, c.B_mask) for c in cands] == expected
 
 
 def test_unrestricted_candidates_match_point_set_disjointness():
