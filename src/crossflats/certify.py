@@ -14,9 +14,10 @@ rank over GF(p) is a sound reduction of the mod-q identities; those
 identities themselves are checked in unbounded integers first.
 
 The incidence vectors are the search's point masks (geometry.PointMasks)
-over the enumerate_projective_points order, so each identity is a
-popcount: |A_i ∩ B_j| = (a_i & b_j).bit_count().  build_certificate
-verifies the family, once per certificate.
+over the enumerate_projective_points order, read off each member's
+equations as in the search, so each identity is a popcount:
+|A_i ∩ B_j| = (a_i & b_j).bit_count().  build_certificate verifies the
+family, once per certificate.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _incidence_masks(fam: FamilyPair) -> tuple[int, list[int], list[int]]:
     if fam.kind != PROJECTIVE:
         raise ValueError("certificates apply to projective families")
     points = enumerate_projective_points(fam.n, fam.field)
-    masks = PointMasks(points)
+    masks = PointMasks(fam.ambient, points)
     return (len(points), [masks(a) for a, _ in fam.pairs],
             [masks(b) for _, b in fam.pairs])
 

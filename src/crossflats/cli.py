@@ -76,6 +76,14 @@ def parse_prime_power(text: str) -> Field:
     return Field(p, k)
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for counts: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]):
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, indent=2))
@@ -267,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(AFFINE, PROJECTIVE), required=True)
     p.add_argument("--restricted", action="store_true",
                    help="affine only: hyperplane-coset candidates")
-    p.add_argument("--budget", type=int, default=None, help="node budget")
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP)
+    p.add_argument("--budget", type=non_negative_int, default=None, help="node budget")
+    p.add_argument("--max-candidates", type=non_negative_int,
+                   default=DEFAULT_CANDIDATE_CAP)
     p.add_argument("--out", default=None, help="write the witness family file here")
     add_format(p)
     p.set_defaults(func=cmd_search)

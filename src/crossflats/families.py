@@ -250,4 +250,6 @@ def load_family(text: str) -> FamilyPair:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a family file: {exc}") from exc
+    except RecursionError:
+        raise ValueError("not a family file: JSON nested too deeply") from None
     return family_from_dict(data)

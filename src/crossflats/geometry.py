@@ -1,4 +1,9 @@
-"""Affine flats of F_q^n and projective subspaces of PG(n, q)."""
+"""Affine flats of F_q^n and projective subspaces of PG(n, q).
+
+A member's cached ``equations``, rows [w | c] with the member equal to
+{x : w.x = c for every row}, describe its points: point masks, membership
+and affine_intersect are read off them; only points() walks the points.
+"""
 
 from __future__ import annotations
 
@@ -11,17 +16,14 @@ from .linalg import (
     Space,
     Subspace,
     _pivot,
-    _reduce,
     _rref_rows,
     _same_space,
+    _trusted_subspace,
     annihilator,
     reduce_mod_basis,
     rref,
-    solve_linear,
-    subspace_intersection,
     vec_add,
     vec_dot,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -66,9 +68,8 @@ class AffineFlat:
                      for w in annihilator(self.direction).basis)
 
     def contains_point(self, v) -> bool:
-        space = self.space
-        diff = vec_sub(space, space.check_vector(v), self.rep)
-        return not any(_reduce(self.direction, diff))
+        v = self.space.check_vector(v)
+        return all(vec_dot(self.space, row[:-1], v) == row[-1] for row in self.equations)
 
     def points(self):
         """All q^dim points of the flat (order follows the basis coefficients)."""
@@ -125,17 +126,20 @@ def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
 
 
 def affine_intersect(A: AffineFlat, B: AffineFlat):
-    """Canonical flat A ∩ B, or None when the flats are disjoint."""
+    """Canonical flat A ∩ B, or None when disjoint: one elimination of both
+    equation stacks.  A tag pivot means they are inconsistent; otherwise
+    each pivot row gives its pivot coordinate of a point (free ones 0),
+    and the direction is the annihilator of the rows' left parts."""
     space = _same_space(A.space, B.space)
-    diff = vec_sub(space, B.rep, A.rep)
-    # Solve rep_A + sum a_i u_i = rep_B + sum b_j v_j for one common point.
-    columns = list(A.direction.basis) + [vec_neg(space, r) for r in B.direction.basis]
-    rows = [tuple(col[i] for col in columns) for i in range(space.n)]
-    x = solve_linear(space.field, rows, diff)
-    if x is None:
+    n = space.n
+    reduced = _rref_rows(space.field, A.equations + B.equations, n + 1)
+    if reduced and _pivot(reduced[-1]) == n:
         return None
-    point = _combination(space, A.rep, x[:A.direction.dim], A.direction.basis)
-    return make_flat(point, subspace_intersection(A.direction, B.direction))
+    point = [0] * n
+    for row in reduced:
+        point[_pivot(row)] = row[n]
+    direction = annihilator(_trusted_subspace(space, [row[:n] for row in reduced]))
+    return make_flat(point, direction)
 
 
 def enumerate_flats(space: Space):
@@ -230,6 +234,13 @@ class ProjectiveSubspace:
     def is_empty(self) -> bool:
         return self.lin.dim == 0
 
+    @cached_property
+    def equations(self) -> tuple[tuple[int, ...], ...]:
+        """Rows [w | 0], w over the RREF basis of the annihilator of lin,
+        in the form of AffineFlat.equations: the subspace is
+        {x : w.x = 0 for every row}."""
+        return tuple(w + (0,) for w in annihilator(self.lin).basis)
+
     def points(self) -> list[tuple[int, ...]]:
         """Canonical points of the subspace in enumerate_projective_points order.
 
@@ -282,22 +293,47 @@ def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:
 # Point masks: one integer per member over a fixed point order.
 
 class PointMasks:
-    """Incidence masks of members over a fixed order of points.
+    """Incidence masks of members over a fixed order of points of a space.
 
     ``masks(member)`` has bit i set iff the member holds ``points[i]``, so
     two members over the same order meet iff their masks share a bit.
     Flats of F_q^n use the Space.vectors() order, subspaces of PG(n, q)
-    the enumerate_projective_points order; a member's points outside the
-    order set no bit.
+    the enumerate_projective_points order.  The mask is the AND, over the
+    member's equations [w | c], of the mask of {x : w.x = c}; each distinct
+    w gets those masks once, from a pass over space.vectors() one
+    coordinate at a time, read at each point's position in that order.
     """
 
-    def __init__(self, points):
-        self.rank = {pt: i for i, pt in enumerate(points)}
+    def __init__(self, space: Space, points):
+        self.space = space
+        q = space.q
+        self.positions = []
+        for pt in points:
+            position = 0
+            for c in pt:
+                position = position * q + c
+            self.positions.append(position)
+        self.everything = (1 << len(self.positions)) - 1
+        self.by_value = {}  # w -> [mask of {x : w.x = c} for c in range(q)]
+
+    def _value_masks(self, w) -> list[int]:
+        masks = self.by_value.get(w)
+        if masks is None:
+            q, ops = self.space.q, self.space.field.unchecked
+            values = [0]  # w.x for the vectors over the coordinates seen so far
+            for h in w:
+                terms = [ops.mul(h, c) for c in range(q)]
+                # q^2 additions per coordinate at most, not one per vector
+                sums = {v: [ops.add(v, t) for t in terms] for v in set(values)}
+                values = [s for v in values for s in sums[v]]
+            masks = [0] * q
+            for i, position in enumerate(self.positions):
+                masks[values[position]] |= 1 << i
+            self.by_value[w] = masks
+        return masks
 
     def __call__(self, member) -> int:
-        mask = 0
-        for pt in member.points():
-            i = self.rank.get(pt)
-            if i is not None:
-                mask |= 1 << i
+        mask = self.everything
+        for row in member.equations:
+            mask &= self._value_masks(row[:-1])[row[-1]]
         return mask

@@ -11,7 +11,9 @@ RREF invariants.  Past that point the data is trusted.  _rref_rows is the
 one elimination kernel; it and the vec_* helpers run on the field's
 unchecked operations, and the subspaces this module builds from kernel
 output (rref, subspace_sum, subspace_intersection, annihilator,
-null_space, enumerate_subspaces) skip validation.
+null_space, enumerate_subspaces) skip validation.  The annihilator, read
+off an RREF basis, turns spanning rows into equations and back, so an
+intersection is the annihilator of a sum: there is no separate solver.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ def vec_add(space: Space, u, v) -> tuple[int, ...]:
 def vec_sub(space: Space, u, v) -> tuple[int, ...]:
     sub = space.field.unchecked.sub
     return tuple(sub(a, b) for a, b in zip(u, v))
-
-
-def vec_neg(space: Space, v) -> tuple[int, ...]:
-    neg = space.field.unchecked.neg
-    return tuple(neg(a) for a in v)
 
 
 def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
@@ -190,30 +187,21 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 
 
 def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
-    """Zassenhaus: row reduce [U|U; V|0]; zero-left rows span the intersection."""
+    """U ∩ V = ann(ann U + ann V): ann turns sums into intersections, and
+    ann(ann W) = W over GF(q) (a dimension count)."""
     space = _same_space(U.space, V.space)
-    n = space.n
-    zero = space.zero()
-    stacked = [r + r for r in U.basis] + [r + zero for r in V.basis]
-    reduced = _rref_rows(space.field, stacked, 2 * n)
-    inter = [row[n:] for row in reduced if _pivot(row[:n]) < 0]
-    return _span(space, inter)
+    return annihilator(_span(space, annihilator(U).basis + annihilator(V).basis))
 
 
-def _reduce(U: Subspace, v) -> tuple[int, ...]:
-    """reduce_mod_basis for a trusted vector v."""
+def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
+    """Eliminate v against the RREF basis; zero remainder means membership."""
     sub_scaled = U.space.field.unchecked.sub_scaled
-    r = v
+    r = U.space.check_vector(v)
     for row in U.basis:
         c = r[_pivot(row)]
         if c:
             r = sub_scaled(r, c, row)
     return tuple(r)
-
-
-def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
-    """Eliminate v against the RREF basis; zero remainder means membership."""
-    return _reduce(U, U.space.check_vector(v))
 
 
 def contains(U: Subspace, v) -> bool:
@@ -241,27 +229,6 @@ def annihilator(U: Subspace) -> Subspace:
 def null_space(space: Space, rows) -> Subspace:
     """Canonical basis of {x : r . x = 0 for every row r}."""
     return annihilator(rref(space, rows))
-
-
-def solve_linear(field: Field, rows, rhs):
-    """One solution x of rows . x = rhs, or None if inconsistent.
-
-    rows is an m x c coefficient matrix given as row tuples; free
-    variables are set to zero.  One run of the kernel on [rows | rhs]
-    over all c + 1 columns: the system is inconsistent exactly when the
-    rhs column takes a pivot, and otherwise each pivot row gives its
-    pivot variable's value.
-    """
-    c = len(rows[0]) if rows else 0
-    aug = [tuple(field.check(x) for x in r) + (field.check(b),)
-           for r, b in zip(rows, rhs)]
-    x = [0] * c
-    for row in _rref_rows(field, aug, c + 1):
-        col = _pivot(row)
-        if col == c:
-            return None
-        x[col] = row[c]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 from .field import Field
 from .geometry import (
-    AffineFlat,
     PointMasks,
     ProjectiveSubspace,
     cosets,
@@ -59,7 +58,7 @@ from .geometry import (
     enumerate_projective_points,
     gaussian_point_count,
 )
-from .linalg import Hyperplane, Space, enumerate_hyperplanes, enumerate_subspaces, vec_dot
+from .linalg import Space, enumerate_hyperplanes, enumerate_subspaces
 
 DEFAULT_CANDIDATE_CAP = 5000
 
@@ -107,33 +106,17 @@ def _check_cap(lower_bound: int, max_candidates: int):
             f"instance yields more than {max_candidates} candidates")
 
 
-def _disjoint_pairs(groups, max_candidates: int) -> list[CandidatePair]:
-    """Disjoint ordered pairs within each group of (member, mask), in order."""
+def _disjoint_pairs(groups, masks, max_candidates: int) -> list[CandidatePair]:
+    """Disjoint ordered pairs within each group of members, in order."""
     pairs = []
-    for masked in groups:
+    for group in groups:
+        masked = [(member, masks(member)) for member in group]
         for a, a_mask in masked:
             for b, b_mask in masked:
                 if not a_mask & b_mask:
                     pairs.append(CandidatePair(len(pairs), a, b, a_mask, b_mask))
                     _check_cap(len(pairs), max_candidates)
     return pairs
-
-
-def _coset_masks(hyperplane: Hyperplane) -> list[tuple[AffineFlat, int]]:
-    """The cosets of a hyperplane, in cosets() order, with their point
-    masks.  One pass over the q^n points of space.vectors(): point i goes
-    to the coset on which normal.x takes its value."""
-    space, normal = hyperplane.space, hyperplane.normal
-    ops = space.field.unchecked
-    values = [0]  # normal.x for the vectors over the coordinates seen so far
-    for h in normal:
-        terms = [ops.mul(h, c) for c in range(space.q)]
-        values = [ops.add(v, t) for v in values for t in terms]
-    by_value = [0] * space.q
-    for i, v in enumerate(values):
-        by_value[v] |= 1 << i
-    return [(coset, by_value[vec_dot(space, normal, coset.rep)])
-            for coset in cosets(hyperplane.kernel())]
 
 
 def candidates_affine(n: int, field: Field, restricted: bool,
@@ -154,12 +137,11 @@ def candidates_affine(n: int, field: Field, restricted: bool,
     if restricted:
         t = (size - 1) // (q - 1)
         _check_cap(t * q * (q - 1), max_candidates)
-        groups = (_coset_masks(h) for h in enumerate_hyperplanes(space))
+        groups = (cosets(h.kernel()) for h in enumerate_hyperplanes(space))
     else:
         _check_cap(size * (size - 1), max_candidates)
-        masks = PointMasks(space.vectors())
-        groups = [[(f, masks(f)) for f in enumerate_flats(space)]]
-    return _disjoint_pairs(groups, max_candidates)
+        groups = [enumerate_flats(space)]
+    return _disjoint_pairs(groups, PointMasks(space, space.vectors()), max_candidates)
 
 
 def candidates_projective(n: int, field: Field,
@@ -171,10 +153,10 @@ def candidates_projective(n: int, field: Field,
         raise ValueError(f"projective dimension must be >= 0, got {n}")
     t = gaussian_point_count(n + 1, field)
     _check_cap(t * (t - 1), max_candidates)
-    members = [ProjectiveSubspace(sub)
-               for sub in enumerate_subspaces(Space(field, n + 1)) if sub.dim >= 1]
-    masks = PointMasks(enumerate_projective_points(n, field))
-    return _disjoint_pairs([[(m, masks(m)) for m in members]], max_candidates)
+    space = Space(field, n + 1)
+    members = [ProjectiveSubspace(sub) for sub in enumerate_subspaces(space) if sub.dim >= 1]
+    masks = PointMasks(space, enumerate_projective_points(n, field))
+    return _disjoint_pairs([members], masks, max_candidates)
 
 
 def _bits(mask: int):

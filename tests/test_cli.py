@@ -277,6 +277,31 @@ def test_malformed_family_files_exit_2(tmp_path, capsys, corrupt):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "certify"])
+def test_deeply_nested_family_file_exits_2(tmp_path, capsys, command):
+    # json.loads raises RecursionError here, not JSONDecodeError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--budget", "--max-candidates"])
+def test_negative_budget_and_cap_are_usage_errors(capsys, option):
+    code, _, err = run(capsys, "search", "--n", "2", "--q", "2",
+                       "--kind", "affine", option, "-1")
+    assert code == 2
+    assert "must be >= 0" in err
+
+
+def test_zero_budget_is_exceeded_not_rejected(capsys):
+    code, _, err = run(capsys, "search", "--n", "2", "--q", "2",
+                       "--kind", "affine", "--budget", "0")
+    assert code == 3
+    assert "node budget of 0" in err
+
+
 HUGE_PRIME = 1000000000000000003
 
 

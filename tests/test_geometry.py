@@ -283,12 +283,12 @@ def test_point_mask_disjointness_matches_rref_and_oracle(kind, n, field):
     if kind == "affine":
         space = Space(field, n)
         members = list(enumerate_flats(space))
-        masks = PointMasks(space.vectors())
+        masks = PointMasks(space, space.vectors())
         rref_disjoint = flats_disjoint
     else:
-        members = [ProjectiveSubspace(sub)
-                   for sub in enumerate_subspaces(Space(field, n + 1)) if sub.dim >= 1]
-        masks = PointMasks(enumerate_projective_points(n, field))
+        space = Space(field, n + 1)
+        members = [ProjectiveSubspace(sub) for sub in enumerate_subspaces(space) if sub.dim >= 1]
+        masks = PointMasks(space, enumerate_projective_points(n, field))
         rref_disjoint = projective_disjoint
     for a, b in itertools.product(members, repeat=2):
         disjoint = not masks(a) & masks(b)

@@ -15,7 +15,6 @@ from crossflats.linalg import (
     enumerate_subspaces,
     null_space,
     rref,
-    solve_linear,
     subspace_intersection,
     subspace_sum,
 )
@@ -198,22 +197,6 @@ def test_null_space_is_the_annihilator():
             assert dot == 0
 
 
-def test_solve_linear():
-    f = GF3
-    rows = [(1, 2), (2, 2)]
-    x = solve_linear(f, rows, (2, 1))
-    assert x is not None
-    for row, want in zip(rows, (2, 1)):
-        acc = 0
-        for a, b in zip(row, x):
-            acc = f.add(acc, f.mul(a, b))
-        assert acc == want
-    # inconsistent system
-    assert solve_linear(f, [(1, 0), (2, 0)], (1, 1)) is None
-    # no columns: solvable only by the zero target
-    assert solve_linear(f, [], ()) == ()
-
-
 def test_mixed_spaces_raise():
     a = rref(Space(GF2, 2), [(1, 0)])
     b = rref(Space(GF2, 3), [(1, 0, 0)])
@@ -241,10 +224,6 @@ def test_boundary_functions_check_their_input():
             rref(s, bad)
         with pytest.raises(ValueError):
             null_space(s, bad)
-    with pytest.raises(ValueError):
-        solve_linear(GF3, [(1, 3)], (0,))
-    with pytest.raises(ValueError):
-        solve_linear(GF3, [(1, 0)], (5,))
 
 
 def test_trusted_subspaces_satisfy_the_validated_invariants():

@@ -13,7 +13,7 @@ from crossflats import search
 from crossflats.cli import main
 from crossflats.families import AFFINE, PROJECTIVE, FamilyPair, verify_cross_intersecting
 from crossflats.field import make_field
-from crossflats.geometry import PointMasks, cosets, enumerate_flats
+from crossflats.geometry import cosets, enumerate_flats
 from crossflats.linalg import Space, enumerate_hyperplanes
 from crossflats.search import (
     BudgetExceeded,
@@ -59,13 +59,14 @@ RESTRICTED_INSTANCES = [(n, p, k) for p, k, top in [
 
 @pytest.mark.parametrize("n,p,k", RESTRICTED_INSTANCES)
 def test_restricted_candidates_match_a_walk_over_each_coset(n, p, k):
-    # The reference masks each coset by walking its own points.
+    # The reference masks each coset by the oracle's walk over its points.
     field = make_field(p, k)
     space = Space(field, n)
-    masks = PointMasks(space.vectors())
+    position = {pt: i for i, pt in enumerate(space.vectors())}
     expected = []
     for h in enumerate_hyperplanes(space):
-        group = [(c, masks(c)) for c in cosets(h.kernel())]
+        group = [(c, sum(1 << position[pt] for pt in member_points(c)))
+                 for c in cosets(h.kernel())]
         for (a, a_mask), (b, b_mask) in itertools.product(group, repeat=2):
             if a != b:
                 expected.append((len(expected), a, b, a_mask, b_mask))
