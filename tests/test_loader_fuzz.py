@@ -31,14 +31,13 @@ def _frame_family(n):
     """Pairs (<e_S>, <e_S^c>) over the nonempty proper subsets S of the
     coordinates of PG(n, 2), by decreasing |S|: a valid family."""
     coords = range(n + 1)
-    subsets = sorted((s for s in range(1, 2 ** (n + 1) - 1)),
-                     key=lambda s: -bin(s).count("1"))
+    full = 2 ** (n + 1) - 1
+    subsets = sorted(range(1, full), key=lambda s: -bin(s).count("1"))
 
     def span(s):
         return make_projective_subspace(
             n, GF2, [tuple(int(i == j) for i in coords) for j in coords if s >> j & 1])
 
-    full = 2 ** (n + 1) - 1
     return FamilyPair(PROJECTIVE, GF2, n, tuple((span(s), span(full ^ s)) for s in subsets))
 
 
