@@ -97,8 +97,11 @@ def _write_family(fam: FamilyPair, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _read_family(path: str) -> FamilyPair:

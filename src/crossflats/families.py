@@ -8,6 +8,7 @@ so pair order matters.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -15,12 +16,13 @@ from .field import Field
 from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
+    cosets,
     flats_disjoint,
     make_flat,
     make_projective_subspace,
     projective_disjoint,
 )
-from .linalg import Space, contains, enumerate_hyperplanes, rref
+from .linalg import Space, enumerate_hyperplanes, rref
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -120,19 +122,16 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
 def construct_extremal_affine(n: int, field: Field) -> FamilyPair:
     """The size-2t family over the t hyperplanes of F_q^n.
 
-    For each hyperplane H (canonical order) fix the smallest vector s
-    outside H; the pairs are (H, H+s) for every H, then (H+s, H).
+    For each hyperplane H (canonical order) take s, the smallest vector
+    outside H; the pairs are (H, H+s) for every H, then (H+s, H).  H and
+    H+s are the first two cosets of H (s = e_j, j the last h_j != 0).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    space = Space(field, n)
     first_half = []
     second_half = []
-    for hyperplane in enumerate_hyperplanes(space):
-        kernel = hyperplane.kernel()
-        shift = next(v for v in space.vectors() if not contains(kernel, v))
-        base = make_flat(space.zero(), kernel)
-        shifted = make_flat(shift, kernel)
+    for hyperplane in enumerate_hyperplanes(Space(field, n)):
+        base, shifted = itertools.islice(cosets(hyperplane.kernel()), 2)
         first_half.append((base, shifted))
         second_half.append((shifted, base))
     return FamilyPair(AFFINE, field, n, tuple(first_half + second_half))

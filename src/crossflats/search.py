@@ -9,10 +9,10 @@ Each member carries its point mask (geometry.PointMasks): an integer
 with one bit per point of the ambient space, so "A meets B" is a single
 AND.  The size of an instance is bounded in closed form against the
 candidate cap before anything is enumerated.  The compatibility graph
-is read off a point index: succ[i] (the candidates that may follow i) is
-the union, over the points of A_i, of the candidates whose B holds that
-point, and pred[i] (those that may precede i) is the union, over the
-points of B_i, of the candidates whose A holds it.
+is built on the distinct masks, which candidates share: succ[i] (the
+candidates that may follow i) is the union of the positions whose B mask
+meets A_i's, and pred[i] (those that may precede i) of those whose A
+mask meets B_i's, each distinct pair of masks ANDed once per direction.
 
 Co-components.  Call i and j linked unless each may follow the other
 (j in succ[i] and j in pred[i]); the blocks are the connected components
@@ -106,6 +106,12 @@ def _check_cap(lower_bound: int, max_candidates: int):
             f"instance yields more than {max_candidates} candidates")
 
 
+def _check_dimension(n: int, max_candidates: int):
+    """Every count below is at least 2^n - 1: check that first, with n
+    clipped just past the cap's bit length, so a huge n never forms q^n."""
+    _check_cap((1 << min(n, max_candidates.bit_length() + 1)) - 1, max_candidates)
+
+
 def _disjoint_pairs(groups, masks, max_candidates: int) -> list[CandidatePair]:
     """Disjoint ordered pairs within each group of members, in order."""
     pairs = []
@@ -131,6 +137,7 @@ def candidates_affine(n: int, field: Field, restricted: bool,
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n, max_candidates)
     q = field.q
     size = q ** n
     space = Space(field, n)
@@ -151,6 +158,7 @@ def candidates_projective(n: int, field: Field,
     checked against the cap first."""
     if n < 0:
         raise ValueError(f"projective dimension must be >= 0, got {n}")
+    _check_dimension(n, max_candidates)
     t = gaussian_point_count(n + 1, field)
     _check_cap(t * (t - 1), max_candidates)
     space = Space(field, n + 1)
@@ -159,39 +167,27 @@ def candidates_projective(n: int, field: Field,
     return _disjoint_pairs([members], masks, max_candidates)
 
 
-def _bits(mask: int):
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
-def _point_index(masks: list[int], width: int) -> list[int]:
-    """index[b] = bitset of the positions i whose mask holds point b < width."""
-    index = [0] * width
-    for i, mask in enumerate(masks):
-        for b in _bits(mask):
-            index[b] |= 1 << i
-    return index
-
-
-def _union(index: list[int], mask: int) -> int:
-    """OR of index[b] over the set bits b of mask."""
+def _meeting(mask: int, positions_by_mask: dict[int, int]) -> int:
+    """OR of the position sets of the distinct masks that meet mask."""
     out = 0
-    for b in _bits(mask):
-        out |= index[b]
+    for other, positions in positions_by_mask.items():
+        if mask & other:
+            out |= positions
     return out
 
 
 def _compatibility(candidates: list[CandidatePair]) -> tuple[list[int], list[int]]:
     """(succ, pred): succ[i] holds the j with A_i meeting B_j, pred[i] the j
     with A_j meeting B_i, as bitsets over positions, i itself excluded."""
-    width = max(((c.A_mask | c.B_mask).bit_length() for c in candidates), default=0)
-    a_index = _point_index([c.A_mask for c in candidates], width)
-    b_index = _point_index([c.B_mask for c in candidates], width)
-    succ = [_union(b_index, c.A_mask) & ~(1 << i) for i, c in enumerate(candidates)]
-    pred = [_union(a_index, c.B_mask) & ~(1 << i) for i, c in enumerate(candidates)]
+    a_at: dict[int, int] = {}  # distinct mask -> the positions carrying it
+    b_at: dict[int, int] = {}
+    for i, c in enumerate(candidates):
+        a_at[c.A_mask] = a_at.get(c.A_mask, 0) | 1 << i
+        b_at[c.B_mask] = b_at.get(c.B_mask, 0) | 1 << i
+    succ_of = {a: _meeting(a, b_at) for a in a_at}
+    pred_of = {b: _meeting(b, a_at) for b in b_at}
+    succ = [succ_of[c.A_mask] & ~(1 << i) for i, c in enumerate(candidates)]
+    pred = [pred_of[c.B_mask] & ~(1 << i) for i, c in enumerate(candidates)]
     return succ, pred
 
 

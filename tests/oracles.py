@@ -10,14 +10,13 @@ from crossflats.geometry import AffineFlat
 
 
 def combo_points(space, rows):
-    """Every linear combination of the given rows, as a set of tuples."""
-    out = set()
-    for coeffs in itertools.product(range(space.q), repeat=len(rows)):
-        v = space.zero()
-        f = space.field
-        for c, row in zip(coeffs, rows):
-            v = tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
-        out.add(v)
+    """Every linear combination of the given rows, as a set of tuples: the
+    span grows by one row at a time, adding each multiple of that row."""
+    f = space.field
+    out = {space.zero()}
+    for row in rows:
+        multiples = [tuple(f.mul(c, y) for y in row) for c in range(space.q)]
+        out = {tuple(f.add(x, y) for x, y in zip(v, m)) for v in out for m in multiples}
     return out
 
 
@@ -25,11 +24,14 @@ def span_points(sub):
     return combo_points(sub.space, sub.basis)
 
 
-def flat_points(flat):
-    space = flat.space
+def translate(space, rep, points):
+    """The points rep + w for w in points, as a set of tuples."""
     f = space.field
-    return {tuple(f.add(a, b) for a, b in zip(flat.rep, w))
-            for w in span_points(flat.direction)}
+    return {tuple(f.add(a, b) for a, b in zip(rep, w)) for w in points}
+
+
+def flat_points(flat):
+    return translate(flat.space, flat.rep, span_points(flat.direction))
 
 
 def member_points(member):

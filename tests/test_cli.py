@@ -302,6 +302,27 @@ def test_zero_budget_is_exceeded_not_rejected(capsys):
     assert "node budget of 0" in err
 
 
+@pytest.mark.parametrize("kind,n,q", [("projective", 10 ** 8, "2"), ("affine", 10 ** 9, "3")])
+def test_huge_search_dimension_exits_2_at_once(capsys, kind, n, q):
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "search", "--kind", kind, "--n", str(n), "--q", q)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and stdout == ""
+    assert err == "error: instance yields more than 5000 candidates\n"
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "2", "--q", "2"],
+    ["search", "--n", "2", "--q", "2", "--kind", "affine", "--restricted"],
+], ids=["construct", "search"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 HUGE_PRIME = 1000000000000000003
 
 

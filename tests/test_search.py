@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,14 @@ from crossflats.search import (
     compatible,
     max_family,
 )
-from oracles import member_points, members_meet, naive_max_family, reference_max_family
+from oracles import (
+    member_points,
+    members_meet,
+    naive_max_family,
+    reference_max_family,
+    span_points,
+    translate,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -59,14 +67,17 @@ RESTRICTED_INSTANCES = [(n, p, k) for p, k, top in [
 
 @pytest.mark.parametrize("n,p,k", RESTRICTED_INSTANCES)
 def test_restricted_candidates_match_a_walk_over_each_coset(n, p, k):
-    # The reference masks each coset by the oracle's walk over its points.
+    # The reference masks each coset by the oracle's walk over its points:
+    # the kernel's span, enumerated once, translated by the coset's rep.
     field = make_field(p, k)
     space = Space(field, n)
     position = {pt: i for i, pt in enumerate(space.vectors())}
     expected = []
     for h in enumerate_hyperplanes(space):
-        group = [(c, sum(1 << position[pt] for pt in member_points(c)))
-                 for c in cosets(h.kernel())]
+        kernel = h.kernel()
+        span = span_points(kernel)
+        group = [(c, sum(1 << position[pt] for pt in translate(space, c.rep, span)))
+                 for c in cosets(kernel)]
         for (a, a_mask), (b, b_mask) in itertools.product(group, repeat=2):
             if a != b:
                 expected.append((len(expected), a, b, a_mask, b_mask))
@@ -221,6 +232,31 @@ def test_candidate_cap_is_checked_before_enumeration(monkeypatch):
     assert main(["search", "--n", "20", "--q", "2", "--kind", "affine"]) == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda: candidates_projective(10 ** 8, GF2),
+    lambda: candidates_affine(10 ** 9, GF3, restricted=False),
+    lambda: candidates_affine(10 ** 9, GF3, restricted=True),
+], ids=["PG(10^8,2)", "AG(10^9,3)", "AG(10^9,3)-restricted"])
+def test_huge_dimension_hits_the_cap_before_any_power(call):
+    start = time.perf_counter()
+    with pytest.raises(CandidateCapExceeded, match="more than 5000 candidates"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda n, cap: candidates_affine(n, GF2, restricted=True, max_candidates=cap),
+    lambda n, cap: candidates_affine(n, GF2, restricted=False, max_candidates=cap),
+    lambda n, cap: candidates_projective(n - 1, GF2, max_candidates=cap),
+], ids=["restricted", "unrestricted", "projective"])
+def test_a_cap_equal_to_the_count_is_accepted(make):
+    for n in (1, 2, 3):
+        count = len(make(n, 10 ** 6))
+        assert len(make(n, count)) == count
+        with pytest.raises(CandidateCapExceeded):
+            make(n, count - 1)
+
+
 @pytest.mark.parametrize("cands,expected", [
     (lambda: candidates_projective(2, GF2), (6, (70, 75, 6, 78, 16, 28), 1065)),
     (lambda: candidates_affine(2, GF3, restricted=False),
@@ -263,10 +299,12 @@ def _pool(name):
     }[name]()
 
 
+POOLS = ["AG(2,3)-restricted", "AG(2,4)-restricted", "AG(3,2)-restricted",
+         "AG(2,2)-unrestricted", "PG(1,3)"]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["AG(2,3)-restricted", "AG(2,4)-restricted",
-                             "AG(3,2)-restricted", "AG(2,2)-unrestricted", "PG(1,3)"]),
-       data=st.data())
+@given(name=st.sampled_from(POOLS), data=st.data())
 def test_decomposed_search_matches_the_reference_dp(name, data):
     pool = _pool(name)
     size = data.draw(st.integers(0, min(24, len(pool))))
@@ -276,6 +314,33 @@ def test_decomposed_search_matches_the_reference_dp(name, data):
     subset = [pool[i] for i in positions]
     report = max_family(subset)
     assert (report.max_size, report.witness) == reference_max_family(subset)
+
+
+def _pairwise_digraph(cands):
+    """(succ, pred) from compatible() on every ordered pair of positions."""
+    at = range(len(cands))
+    succ = [sum(1 << j for j in at if j != i and compatible(cands[i], cands[j])) for i in at]
+    pred = [sum(1 << j for j in at if j != i and compatible(cands[j], cands[i])) for i in at]
+    return succ, pred
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(POOLS), data=st.data())
+def test_compatibility_graph_matches_the_pairwise_test(name, data):
+    pool = _pool(name)
+    positions = data.draw(st.permutations(range(len(pool))))
+    subset = [pool[i] for i in positions[:data.draw(st.integers(0, len(pool)))]]
+    assert search._compatibility(subset) == _pairwise_digraph(subset)
+
+
+def test_compatibility_graph_of_whole_pools_and_edge_cases():
+    for name in POOLS:
+        pool = _pool(name)
+        assert search._compatibility(pool) == _pairwise_digraph(pool)
+    assert search._compatibility([]) == ([], [])
+    # A caller-built pair whose members meet is never its own successor.
+    meets = CandidatePair(0, None, None, 0b11, 0b01)
+    assert search._compatibility([meets, meets]) == ([0b10, 0b01], [0b10, 0b01])
 
 
 def test_blocks_and_node_counts():
