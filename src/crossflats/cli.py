@@ -218,27 +218,26 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _emit_vectors(args, field: Field, key: str, vectors) -> int:
+    """A listing: the count, then one vector per line."""
+    payload = {"n": args.n, "q": field.q, "count": len(vectors),
+               key: [list(v) for v in vectors]}
+    lines = [f"count: {len(vectors)}"]
+    lines.extend("(" + ", ".join(str(c) for c in v) + ")" for v in vectors)
+    _emit(args, payload, lines)
+    return EXIT_OK
+
+
 def cmd_hyperplanes(args) -> int:
     field = parse_prime_power(args.q)
     _bound_hyperplane_work(args.n, field, args.n)
     normals = [h.normal for h in enumerate_hyperplanes(Space(field, args.n))]
-    payload = {"n": args.n, "q": field.q, "count": len(normals),
-               "normals": [list(v) for v in normals]}
-    lines = [f"count: {len(normals)}"]
-    lines.extend("(" + ", ".join(str(c) for c in v) + ")" for v in normals)
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit_vectors(args, field, "normals", normals)
 
 
 def cmd_points(args) -> int:
     field = parse_prime_power(args.q)
-    points = enumerate_projective_points(args.n, field)
-    payload = {"n": args.n, "q": field.q, "count": len(points),
-               "points": [list(v) for v in points]}
-    lines = [f"count: {len(points)}"]
-    lines.extend("(" + ", ".join(str(c) for c in v) + ")" for v in points)
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit_vectors(args, field, "points", enumerate_projective_points(args.n, field))
 
 
 def build_parser() -> argparse.ArgumentParser:

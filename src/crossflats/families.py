@@ -93,25 +93,20 @@ class FamilyViolation(ValueError):
         self.violation = violation
 
 
-def _disjoint(kind: str, a, b) -> bool:
-    if kind == AFFINE:
-        return flats_disjoint(a, b)
-    return projective_disjoint(a, b)
-
-
 def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
     """Check the pair conditions; only i < j is constrained off-diagonal.
 
     Diagonal checks run first (i ascending), then the strict upper
     triangle in row-major order; the first violation is reported.
     """
+    disjoint = flats_disjoint if fam.kind == AFFINE else projective_disjoint
     pairs = fam.pairs
     for i, (a, b) in enumerate(pairs):
-        if not _disjoint(fam.kind, a, b):
+        if not disjoint(a, b):
             return VerifyReport(False, (i + 1, i + 1, DIAGONAL_NONEMPTY))
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            if _disjoint(fam.kind, pairs[i][0], pairs[j][1]):
+            if disjoint(pairs[i][0], pairs[j][1]):
                 return VerifyReport(False, (i + 1, j + 1, OFFDIAGONAL_EMPTY))
     return VerifyReport(True)
 

@@ -1,8 +1,9 @@
 """Affine flats of F_q^n and projective subspaces of PG(n, q).
 
 A member's cached ``equations``, rows [w | c] with the member equal to
-{x : w.x = c for every row}, describe its points: point masks, membership
-and affine_intersect are read off them; only points() walks the points.
+{x : w.x = c for every row}, describe its points: point masks, membership,
+flats_disjoint and affine_intersect are read off them; only points() walks
+the points.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from .linalg import (
     _same_space,
     _trusted_subspace,
     annihilator,
+    enumerate_subspaces,
     reduce_mod_basis,
     rref,
     vec_add,
     vec_dot,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -62,7 +63,12 @@ class AffineFlat:
     def equations(self) -> tuple[tuple[int, ...], ...]:
         """Rows [w | w.rep], w over the RREF basis of the annihilator of
         the direction (null_space of its rows): the flat is
-        {x : w.x = w.rep for every row}."""
+        {x : w.x = w.rep for every row}.
+
+        x lies in the flat iff x - rep lies in the direction, iff
+        w.(x - rep) = 0 for every w in the annihilator, because over GF(q)
+        the direction is the annihilator of its annihilator (a dimension
+        count)."""
         space = self.space
         return tuple(w + (vec_dot(space, w, self.rep),)
                      for w in annihilator(self.direction).basis)
@@ -92,49 +98,33 @@ def make_flat(point, direction: Subspace) -> AffineFlat:
     return AffineFlat(reduce_mod_basis(direction, point), direction)
 
 
-def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
-    """Empty intersection test: one elimination of the smaller of two row
-    stacks, with the last column as the tag.
-
-    * Equations, 2n - dim A - dim B rows: A.equations and B.equations.
-      x lies in A iff x - rep(A) lies in dir A, iff w.(x - rep(A)) = 0 for
-      every w in the annihilator dir A^perp, because dir A = (dir A^perp)^perp
-      over GF(q) (a dimension count).  So A = {x : w.x = w.rep(A)}, A ∩ B
-      is the solution set of both stacks, and the flats are disjoint iff
-      the system is inconsistent: iff the tag column takes a pivot.
-    * Directions, dim A + dim B + 1 rows: (u, 0) for u in either direction
-      basis, and (rep(B) - rep(A), 1).  The flats meet iff the difference
-      lies in dir A + dir B, iff (0, ..., 0, 1) is in the row space, iff
-      the tag column takes a pivot; they are disjoint iff it takes none.
-
-    The equation stack is the smaller one exactly when dim A + dim B >= n;
-    the stacks never tie.  A tag pivot can only sit in the last row of the
-    RREF.  Equations are computed once per flat and kept, so a pair of
-    hyperplane cosets costs two rows instead of 2n - 1.
-    """
+def _intersection_rows(A: AffineFlat, B: AffineFlat):
+    """RREF of A.equations + B.equations, tag column last, or None when
+    the system is inconsistent, i.e. A ∩ B is empty: the tag column then
+    takes a pivot, which can only sit in the last row."""
     space = _same_space(A.space, B.space)
-    n = space.n
-    by_equations = A.dim + B.dim >= n
-    if by_equations:
-        rows = A.equations + B.equations
-    else:
-        rows = [r + (0,) for r in A.direction.basis + B.direction.basis]
-        rows.append(vec_sub(space, B.rep, A.rep) + (1,))
-    reduced = _rref_rows(space.field, rows, n + 1)
-    tag_pivot = bool(reduced) and _pivot(reduced[-1]) == n
-    return tag_pivot == by_equations
+    reduced = _rref_rows(space.field, A.equations + B.equations, space.n + 1)
+    if reduced and _pivot(reduced[-1]) == space.n:
+        return None
+    return reduced
+
+
+def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
+    """Empty intersection test: one elimination of both equation stacks,
+    2n - dim A - dim B rows (two for a pair of hyperplane cosets)."""
+    return _intersection_rows(A, B) is None
 
 
 def affine_intersect(A: AffineFlat, B: AffineFlat):
     """Canonical flat A ∩ B, or None when disjoint: one elimination of both
-    equation stacks.  A tag pivot means they are inconsistent; otherwise
-    each pivot row gives its pivot coordinate of a point (free ones 0),
-    and the direction is the annihilator of the rows' left parts."""
-    space = _same_space(A.space, B.space)
-    n = space.n
-    reduced = _rref_rows(space.field, A.equations + B.equations, n + 1)
-    if reduced and _pivot(reduced[-1]) == n:
+    equation stacks.  Each pivot row gives its pivot coordinate of a point
+    (free ones 0), and the direction is the annihilator of the rows' left
+    parts."""
+    reduced = _intersection_rows(A, B)
+    if reduced is None:
         return None
+    space = A.space
+    n = space.n
     point = [0] * n
     for row in reduced:
         point[_pivot(row)] = row[n]
@@ -148,8 +138,6 @@ def enumerate_flats(space: Space):
     For each subspace (see enumerate_subspaces), its cosets in the order
     of :func:`cosets`.
     """
-    from .linalg import enumerate_subspaces
-
     for sub in enumerate_subspaces(space):
         yield from cosets(sub)
 
@@ -274,8 +262,9 @@ def projective_empty(n: int, field: Field) -> ProjectiveSubspace:
 
 
 def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
-    """dim(U ∩ V) = dim U + dim V - rank(U ∪ V): one elimination, no
-    Zassenhaus pass and no Subspace built."""
+    """U ∩ V = 0 iff rank(U ∪ V) = dim U + dim V, since
+    dim(U ∩ V) = dim U + dim V - rank(U ∪ V): the rank is one elimination
+    of both bases."""
     space = _same_space(A.space, B.space)
     U, V = A.lin, B.lin
     return len(_rref_rows(space.field, U.basis + V.basis, space.n)) == U.dim + V.dim

@@ -68,11 +68,6 @@ def vec_add(space: Space, u, v) -> tuple[int, ...]:
     return tuple(add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(space: Space, u, v) -> tuple[int, ...]:
-    sub = space.field.unchecked.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
     return tuple(space.field.unchecked.scale(c, v))
 
