@@ -26,7 +26,7 @@ from .families import (
     load_family,
     verify_cross_intersecting,
 )
-from .field import MAX_DEGREE, MAX_ORDER, Field, prime_factors
+from .field import MAX_ORDER, Field, exceeds_max_order, prime_factors
 from .geometry import enumerate_projective_points
 from .linalg import Space, enumerate_hyperplanes
 from .search import (
@@ -120,8 +120,7 @@ def _bound_hyperplane_work(n: int, field: Field, per_hyperplane: int):
     if n < 1:
         return  # the command itself rejects the dimension
     q = field.q
-    # q >= 2, so n > MAX_DEGREE already means q^n > MAX_ORDER.
-    if n > MAX_DEGREE or q ** n > MAX_ORDER:
+    if exceeds_max_order(q, n):
         raise ValueError(f"F_{q}^{n} is too large to enumerate: q^n exceeds {MAX_ORDER}")
     if (q ** n - 1) // (q - 1) * per_hyperplane > MAX_OUTPUT_ENTRIES:
         raise ValueError(f"n = {n}, q = {q} would output more than "

@@ -212,12 +212,12 @@ def family_from_dict(data) -> FamilyPair:
     """Parse a family file's JSON value; any malformed input is a ValueError."""
     if not isinstance(data, dict):
         raise ValueError("not a family file: top level must be an object")
-    version = data.get("version")
-    if version != FILE_VERSION:
-        raise ValueError(f"unsupported family file version {version!r}")
-    if data.get("point_order") != POINT_ORDER_TAG:
-        raise ValueError(f"unsupported point order {data.get('point_order')!r}")
     try:
+        version = _int(data["version"], "version")
+        if version != FILE_VERSION:
+            raise ValueError(f"unsupported family file version {version!r}")
+        if data.get("point_order") != POINT_ORDER_TAG:
+            raise ValueError(f"unsupported point order {data.get('point_order')!r}")
         kind = data["kind"]
         if kind not in (AFFINE, PROJECTIVE):
             raise ValueError(f"unknown family kind {kind!r}")

@@ -33,6 +33,13 @@ MAX_ORDER = 1 << 16
 MAX_DEGREE = MAX_ORDER.bit_length() - 1
 
 
+def exceeds_max_order(q: int, d: int) -> bool:
+    """q^d > MAX_ORDER for a field order q >= 2: the bound on any walk over
+    the q^d vectors of F_q^d.  d > MAX_DEGREE already implies it, so a huge
+    d is refused without forming the power."""
+    return d > MAX_DEGREE or q ** d > MAX_ORDER
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == [n]
 

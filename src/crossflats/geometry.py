@@ -2,8 +2,8 @@
 
 A member's cached ``equations``, rows [w | c] with the member equal to
 {x : w.x = c for every row}, describe its points: point masks, membership,
-flats_disjoint and affine_intersect are read off them; only points() walks
-the points.
+incidence vectors, flats_disjoint and affine_intersect are read off them,
+and no code walks a member's points.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import MAX_DEGREE, MAX_ORDER, Field
+from .field import MAX_ORDER, Field, exceeds_max_order
 from .linalg import (
     Space,
     Subspace,
@@ -24,9 +24,7 @@ from .linalg import (
     enumerate_subspaces,
     reduce_mod_basis,
     rref,
-    vec_add,
     vec_dot,
-    vec_scale,
 )
 
 
@@ -74,23 +72,14 @@ class AffineFlat:
                      for w in annihilator(self.direction).basis)
 
     def contains_point(self, v) -> bool:
-        v = self.space.check_vector(v)
-        return all(vec_dot(self.space, row[:-1], v) == row[-1] for row in self.equations)
-
-    def points(self):
-        """All q^dim points of the flat (order follows the basis coefficients)."""
-        space, basis = self.space, self.direction.basis
-        return (_combination(space, self.rep, coeffs, basis)
-                for coeffs in itertools.product(range(space.q), repeat=len(basis)))
+        return _satisfies(self, self.space.check_vector(v))
 
 
-def _combination(space: Space, base, coeffs, rows) -> tuple[int, ...]:
-    """The point base + sum c_i * rows[i]."""
-    point = base
-    for c, row in zip(coeffs, rows):
-        if c:
-            point = vec_add(space, point, vec_scale(space, c, row))
-    return point
+def _satisfies(member, v) -> bool:
+    """w.v = c for every equation row [w | c] of the member, i.e. the
+    member holds the checked vector v."""
+    space = member.space
+    return all(vec_dot(space, row[:-1], v) == row[-1] for row in member.equations)
 
 
 def make_flat(point, direction: Subspace) -> AffineFlat:
@@ -161,17 +150,6 @@ def cosets(sub: Subspace):
 # ---------------------------------------------------------------------------
 # Projective space PG(n, q): the ambient linear space is F_q^(n+1).
 
-def canonical_point(space: Space, v) -> tuple[int, ...]:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    p = _pivot(v)
-    if p < 0:
-        raise ValueError("the zero vector spans no projective point")
-    c = v[p]
-    if c == 1:
-        return tuple(v)
-    return vec_scale(space, space.field.unchecked.inv(c), v)
-
-
 def enumerate_projective_points(n: int, field: Field) -> list[tuple[int, ...]]:
     """The t = (q^(n+1) - 1)/(q - 1) canonical points of PG(n, q), in
     ascending order of their reversed coordinates (this order fixes the
@@ -180,8 +158,7 @@ def enumerate_projective_points(n: int, field: Field) -> list[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"projective dimension must be >= 0, got {n}")
     q = field.q
-    # q >= 2, so n + 1 > MAX_DEGREE already means q^(n+1) > MAX_ORDER.
-    if n + 1 > MAX_DEGREE or q ** (n + 1) > MAX_ORDER:
+    if exceeds_max_order(q, n + 1):
         raise ValueError(
             f"PG({n}, {q}) is too large to enumerate: q^(n+1) exceeds {MAX_ORDER}")
     points = []
@@ -229,36 +206,10 @@ class ProjectiveSubspace:
         {x : w.x = 0 for every row}."""
         return tuple(w + (0,) for w in annihilator(self.lin).basis)
 
-    def points(self) -> list[tuple[int, ...]]:
-        """Canonical points of the subspace in enumerate_projective_points order.
-
-        The basis is in RREF, so the coefficient of row k is the entry at
-        row k's pivot column: a combination whose first nonzero
-        coefficient is 1 is a canonical point, and every canonical point
-        of the span is exactly one such combination.
-        """
-        space, basis = self.space, self.lin.basis
-        d, zero = len(basis), space.zero()
-        return sorted((_combination(space, zero, (0,) * k + (1,) + rest, basis)
-                       for k in range(d)
-                       for rest in itertools.product(range(space.q), repeat=d - k - 1)),
-                      key=lambda v: v[::-1])
-
 
 def make_projective_subspace(n: int, field: Field, rows) -> ProjectiveSubspace:
     """Projective subspace of PG(n, q) spanned by the given vectors."""
     return ProjectiveSubspace(rref(Space(field, n + 1), rows))
-
-
-def projective_whole(n: int, field: Field) -> ProjectiveSubspace:
-    space = Space(field, n + 1)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n + 1))
-                     for i in range(n + 1))
-    return ProjectiveSubspace(Subspace(space, identity))
-
-
-def projective_empty(n: int, field: Field) -> ProjectiveSubspace:
-    return ProjectiveSubspace(Subspace(Space(field, n + 1), ()))
 
 
 def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
@@ -271,11 +222,17 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:
-    """0/1 incidence vector of F against an ordered projective point list
-    (points are taken up to scaling)."""
-    space, held = F.space, set(F.points())
-    return tuple(int(canonical_point(space, space.check_vector(pt)) in held)
-                 for pt in points)
+    """0/1 incidence vector of F against an ordered projective point list,
+    read off F.equations point by point.  Points are taken up to scaling:
+    the equations are homogeneous, so every nonzero multiple of a vector
+    satisfies them or none does."""
+    space, vec = F.space, []
+    for pt in points:
+        v = space.check_vector(pt)
+        if not any(v):
+            raise ValueError("the zero vector spans no projective point")
+        vec.append(int(_satisfies(F, v)))
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------

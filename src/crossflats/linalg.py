@@ -8,8 +8,8 @@ basis, so equal spans compare equal and hash equal.
 Input is checked at the boundary: rref() and null_space() check every
 row they are given, and a Subspace(...) built by a caller validates its
 RREF invariants.  Past that point the data is trusted.  _rref_rows is the
-one elimination kernel; it and the vec_* helpers run on the field's
-unchecked operations, and the subspaces this module builds from kernel
+one elimination kernel; it and vec_dot run on the field's unchecked
+operations, and the subspaces this module builds from kernel
 output (rref, subspace_sum, subspace_intersection, annihilator,
 null_space, enumerate_subspaces) skip validation.  The annihilator, read
 off an RREF basis, turns spanning rows into equations and back, so an
@@ -62,15 +62,6 @@ def _same_space(a: Space, b: Space) -> Space:
 
 # ---------------------------------------------------------------------------
 # Vector helpers.
-
-def vec_add(space: Space, u, v) -> tuple[int, ...]:
-    add = space.field.unchecked.add
-    return tuple(add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(space: Space, c: int, v) -> tuple[int, ...]:
-    return tuple(space.field.unchecked.scale(c, v))
-
 
 def vec_dot(space: Space, u, v) -> int:
     ops = space.field.unchecked

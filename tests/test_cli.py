@@ -265,7 +265,10 @@ def _pair_as_list(data):
     _set(["pairs"], 3),
     _pair_as_list,
     _set(["pairs", 0, "A", "rep"], [True, False]),
-], ids=["n-string", "field-null", "pairs-int", "pair-list", "rep-bools"])
+    _set(["version"], True),
+    _set(["version"], 1.0),
+], ids=["n-string", "field-null", "pairs-int", "pair-list", "rep-bools", "version-true",
+        "version-float"])
 def test_malformed_family_files_exit_2(tmp_path, capsys, corrupt):
     _, stdout, _ = run(capsys, "construct", "--n", "2", "--q", "2")
     data = json.loads(stdout)

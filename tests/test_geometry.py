@@ -12,7 +12,6 @@ from crossflats.geometry import (
     PointMasks,
     ProjectiveSubspace,
     affine_intersect,
-    canonical_point,
     char_vector,
     enumerate_flats,
     enumerate_projective_points,
@@ -21,12 +20,10 @@ from crossflats.geometry import (
     make_flat,
     make_projective_subspace,
     projective_disjoint,
-    projective_empty,
-    projective_whole,
 )
 from crossflats.linalg import Space, enumerate_hyperplanes, enumerate_subspaces, rref
 import oracles
-from oracles import canonical_points, flat_points, member_points, members_meet, span_points
+from oracles import canonical_points, flat_points, member_points, members_meet
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -51,8 +48,8 @@ def test_flat_points():
     s = Space(GF3, 2)
     d = rref(s, [(1, 2)])
     flat = make_flat((0, 1), d)
-    assert set(flat.points()) == {(0, 1), (1, 0), (2, 2)}
-    assert all(flat.contains_point(p) for p in flat.points())
+    assert flat_points(flat) == {(0, 1), (1, 0), (2, 2)}
+    assert {v for v in s.vectors() if flat.contains_point(v)} == flat_points(flat)
 
 
 def test_affine_intersect_self_and_cosets():
@@ -118,12 +115,11 @@ def test_projective_point_count_and_canonicality(field, n):
     assert len(set(pts)) == len(pts)
     space = Space(field, n + 1)
     assert pts == canonical_points(space.vectors())
-    for p in pts:
-        assert canonical_point(space, p) == p
-    # every nonzero vector canonicalizes onto the list
+    # every nonzero vector, scaled to a leading 1, lands on the list
     for v in space.vectors():
         if any(v):
-            assert canonical_point(space, v) in pts
+            lead = field.inv(next(c for c in v if c))
+            assert tuple(field.mul(lead, c) for c in v) in pts
 
 
 @pytest.mark.parametrize("n,p,k", [(16, 2, 1), (1, 257, 1), (2, 41, 1), (4, 2, 4),
@@ -156,19 +152,45 @@ def test_char_vector_support_equals_gaussian_count(field, n):
         member = ProjectiveSubspace(sub)
         vec = char_vector(member, points)
         assert sum(vec) == gaussian_point_count(sub.dim, field)
-        assert sorted(member.points()) == sorted(
-            p for p, bit in zip(points, vec) if bit)
+        held = member_points(member)
+        assert vec == tuple(int(p in held) for p in points)
 
 
 def test_char_vector_examples():
     points = enumerate_projective_points(1, GF2)
-    assert char_vector(projective_whole(1, GF2), points) == (1, 1, 1)
-    assert char_vector(projective_empty(1, GF2), points) == (0, 0, 0)
-    empty = projective_empty(1, GF2)
+    whole = make_projective_subspace(1, GF2, [(1, 0), (0, 1)])
+    empty = make_projective_subspace(1, GF2, [])
+    assert char_vector(whole, points) == (1, 1, 1)
+    assert char_vector(empty, points) == (0, 0, 0)
     assert empty.proj_dim == -1 and empty.is_empty()
-    assert projective_disjoint(empty, projective_whole(1, GF2))
+    assert projective_disjoint(empty, whole)
     p1 = make_projective_subspace(1, GF2, [(1, 0)])
     assert char_vector(p1, points) == (1, 0, 0)
+    line = make_projective_subspace(2, GF2, [(1, 0, 0), (0, 1, 0)])
+    assert line.proj_dim == 1 and line.ambient_dim == 2
+    assert char_vector(line, enumerate_projective_points(2, GF2)) == (1, 1, 1, 0, 0, 0, 0)
+
+
+def test_membership_reads_the_equations_without_a_point_walk(refuse_point_walk):
+    # Every subspace of PG(2,3) against randomly scaled and reversed point
+    # lists, and every flat of AG(2,3) against every vector, with geometry's
+    # vector walks refused: the inputs come from linalg and the oracle.
+    rng = random.Random(23)
+    space = Space(GF3, 3)
+    points = canonical_points(space.vectors())
+    scaled = [tuple(GF3.mul(c, x) for x in p) for p in points
+              for c in [rng.randrange(1, 3)]]
+    for sub in enumerate_subspaces(space):
+        member = ProjectiveSubspace(sub)
+        held = member_points(member)
+        for order in (scaled, scaled[::-1]):
+            assert char_vector(member, order) == tuple(int(p in held) for p in order)
+    plane = Space(GF3, 2)
+    flats = {make_flat(v, sub) for sub in enumerate_subspaces(plane) for v in plane.vectors()}
+    assert len(flats) == 9 + 4 * 3 + 1
+    for flat in flats:
+        held = flat_points(flat)
+        assert all(flat.contains_point(v) == (v in held) for v in plane.vectors())
 
 
 def _dot(field, u, v):
@@ -312,21 +334,6 @@ def test_oracles_enumerate_points_without_the_elimination_code():
         assert name not in source
 
 
-def test_projective_subspace_point_lists():
-    line = make_projective_subspace(2, GF2, [(1, 0, 0), (0, 1, 0)])
-    assert line.points() == [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert line.proj_dim == 1 and line.ambient_dim == 2
-    # nonzero span vectors, canonicalized, is the same set
-    space = Space(GF2, 3)
-    expected = {canonical_point(space, v) for v in span_points(line.lin) if any(v)}
-    assert set(line.points()) == expected
-    # every subspace of PG(2, q), q = 2, 3, 4: the canonical vectors of the
-    # oracle's span, in point order
-    for field in (GF2, GF3, make_field(2, 2)):
-        for sub in enumerate_subspaces(Space(field, 3)):
-            assert ProjectiveSubspace(sub).points() == canonical_points(span_points(sub))
-
-
 def test_mixed_space_errors():
     p_small = make_projective_subspace(1, GF2, [(1, 0)])
     p_big = make_projective_subspace(2, GF2, [(1, 0, 0)])
@@ -339,5 +346,5 @@ def test_mixed_space_errors():
         affine_intersect(a, b)
     with pytest.raises(ValueError):
         flats_disjoint(a, b)
-    with pytest.raises(ValueError):
-        canonical_point(s2, (0, 0))
+    with pytest.raises(ValueError, match="zero vector"):
+        char_vector(p_small, [(1, 0), (0, 0)])
