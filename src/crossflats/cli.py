@@ -197,6 +197,7 @@ def cmd_search(args) -> int:
         "max_size": report.max_size,
         "witness": list(report.witness),
         "nodes_explored": report.nodes_explored,
+        "states": report.states,
         "restricted": report.restricted,
         "candidates": len(cands),
         "blocks": report.blocks,
@@ -206,6 +207,7 @@ def cmd_search(args) -> int:
         f"max_size: {report.max_size}",
         f"witness: {list(report.witness)}",
         f"nodes_explored: {report.nodes_explored}",
+        f"states: {report.states}",
         f"restricted: {str(report.restricted).lower()}",
         f"blocks: {report.blocks}",
     ]

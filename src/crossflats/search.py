@@ -35,19 +35,35 @@ is searched on its own and the results combine exactly:
 
 An instance with one block runs the plain search on all candidates.
 
-max_family explores extensions depth-first in candidate order.  The
-subtree below a partial sequence depends only on the set of candidates
-still feasible as successors, so results are memoized on that set, held
-as an int bitset over candidate positions; this keeps the search exact
-while collapsing the factorial number of prefix orders.  All blocks share
-the memo and the node count (and so the node budget).  The reported
-witness is the lexicographically smallest maximum sequence, and
-sequential runs are fully reproducible.
+max_family searches each block on member classes.  Whether j may follow
+i depends only on A_i and B_j, so after a prefix the feasible successors
+are the positions whose B mask meets every A chosen so far: a union of B
+classes (a B class is the block's positions that share one B mask).  A
+chosen j drops out by itself, since B_j misses A_j, so no candidate
+repeats and no position is ever removed: every feasible set is a union
+of B classes.  The state is that union, held as a bitset over the
+block's distinct B masks, and the memo maps it to the length of the
+longest sequence drawn from it.  A state branches once per distinct A
+mask paired with some B class in it, to the child state & meets[A]:
+siblings that share an A mask share their subtree, and cost one node.
+A caller-built candidate whose members meet fits no class (it would
+follow itself), so max_family rejects it.
+
+The witness takes one pass over the block's positions after the values:
+from the full state, take the smallest position whose B class is in the
+state and whose child's value is one less, and move to that child.  Each
+step takes the smallest first element of any maximum sequence from the
+state, and what follows it is a maximum sequence from the child, so by
+induction the pass yields the lexicographically smallest maximum
+sequence.  All blocks share the node count (and so the node budget);
+each has its own memo, and the report's states is their total size.
+Sequential runs are fully reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .field import Field
 from .geometry import (
@@ -93,6 +109,7 @@ class SearchReport:
     nodes_explored: int
     restricted: bool
     blocks: int = 1
+    states: int = 0
 
 
 def compatible(p: CandidatePair, q: CandidatePair) -> bool:
@@ -215,52 +232,102 @@ def _merge_by_head(seqs: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Interleave sequences with distinct entries, always taking the
     smallest head: the lexicographically smallest interleaving."""
     pending = [s for s in seqs if s]
+    heapify(pending)  # heads are distinct, so the head decides the order
     merged = []
     while pending:
-        first = min(pending)  # heads are distinct, so the head decides
-        pending.remove(first)
+        first = heappop(pending)
         merged.append(first[0])
         if len(first) > 1:
-            pending.append(first[1:])
+            heappush(pending, first[1:])
     return tuple(merged)
+
+
+def _block_classes(candidates: list[CandidatePair], succ: list[int], block: int):
+    """One block on its distinct masks.  The B classes (distinct B masks)
+    are numbered in order of first position, and each is one bit of a
+    state.  Returns the block's positions in ascending order as
+    (position, its B class bit, meets of its A mask); one (partners, meets)
+    per distinct A mask, where partners holds the B classes it is paired
+    with and meets those whose mask meets it; and the full state."""
+    b_class: dict[int, tuple[int, int]] = {}  # B mask -> (bit, first position)
+    a_first: dict[int, int] = {}  # A mask -> first position
+    order = []
+    rest = block
+    while rest:  # the block's own bits, in ascending order
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        order.append(i)
+        b_class.setdefault(candidates[i].B_mask, (1 << len(b_class), i))
+        a_first.setdefault(candidates[i].A_mask, i)
+    # succ[i] holds the positions of every B mask that meets A_i.
+    meets = {a: sum(bit for bit, r in b_class.values() if succ[i] >> r & 1)
+             for a, i in a_first.items()}
+    partners = dict.fromkeys(a_first, 0)
+    steps = []
+    for i in order:
+        c = candidates[i]
+        bit = b_class[c.B_mask][0]
+        partners[c.A_mask] |= bit
+        steps.append((i, bit, meets[c.A_mask]))
+    classes = [(partners[a], meets[a]) for a in a_first]
+    return steps, classes, (1 << len(b_class)) - 1
 
 
 def max_family(candidates: list[CandidatePair], limit: int | None = None,
                restricted: bool = False) -> SearchReport:
     """Exact maximum ordered-sequence length over the given candidates.
 
-    Raises BudgetExceeded when more than ``limit`` nodes are visited.
-    The witness lists candidate ids; it is the lexicographically smallest
-    maximum sequence with respect to the given candidate order.  Each
-    co-component block is searched separately (see the module docstring).
+    Raises BudgetExceeded when more than ``limit`` nodes are visited, and
+    ValueError for a candidate whose members meet (A_mask & B_mask), which
+    no valid family can contain and no B class can represent.  The witness
+    lists candidate ids; it is the lexicographically smallest maximum
+    sequence with respect to the given candidate order.  Each co-component
+    block is searched separately (see the module docstring).
     """
+    for c in candidates:
+        if c.A_mask & c.B_mask:
+            raise ValueError(f"candidate {c.id} has members that meet")
     succ, pred = _compatibility(candidates)
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-    nodes = 0
+    nodes = states = 0
 
-    def extend(feasible: int) -> tuple[int, tuple[int, ...]]:
+    def visit(count: int):
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if limit is not None and nodes > limit:
             raise BudgetExceeded(limit)
-        cached = memo.get(feasible)
-        if cached is not None:
-            return cached
-        best_len, best_seq = 0, ()
-        rest = feasible
-        while rest:  # set bits in ascending order
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            sub_len, sub_seq = extend(feasible & succ[i])
-            if 1 + sub_len > best_len:
-                best_len, best_seq = 1 + sub_len, (i, *sub_seq)
-        memo[feasible] = (best_len, best_seq)
-        return best_len, best_seq
 
+    seqs = []
     blocks = _co_components(succ, pred)
-    results = [extend(block) for block in blocks]
-    size = sum(length for length, _ in results)
-    seq = _merge_by_head([block_seq for _, block_seq in results])
-    witness = tuple(candidates[i].id for i in seq)
-    return SearchReport(size, witness, nodes, restricted, len(blocks))
+    for block in blocks:
+        steps, classes, state = _block_classes(candidates, succ, block)
+        memo: dict[int, int] = {}
+
+        def value(feasible: int) -> int:
+            children = [feasible & meets for partners, meets in classes
+                        if partners & feasible]
+            visit(len(children))
+            best = 0
+            for child in children:
+                sub = memo.get(child)
+                if sub is None:
+                    sub = value(child)
+                if sub >= best:
+                    best = sub + 1
+            memo[feasible] = best
+            return best
+
+        visit(1)
+        seq = []
+        left = value(state)
+        while left:  # the smallest position that keeps the maximum
+            left -= 1
+            for i, bit, meets in steps:
+                if bit & state and memo[state & meets] == left:
+                    seq.append(i)
+                    state &= meets
+                    break
+        seqs.append(tuple(seq))
+        states += len(memo)
+    witness = tuple(candidates[i].id for i in _merge_by_head(seqs))
+    return SearchReport(len(witness), witness, nodes, restricted, len(blocks), states)

@@ -184,9 +184,11 @@ def test_search_reports_its_block_count(capsys):
                           "--restricted", "--format", "json")
     assert code == 0
     assert json.loads(stdout)["blocks"] == 6
+    assert json.loads(stdout)["states"] == 42  # memo entries
     code, stdout, _ = run(capsys, "search", "--n", "2", "--q", "3", "--kind", "projective")
     assert code == 0
     assert "blocks: 1" in stdout.splitlines()
+    assert "states: 68" in stdout.splitlines()
 
 
 def test_hyperplanes_and_points_listings(capsys):

@@ -258,13 +258,37 @@ def test_a_cap_equal_to_the_count_is_accepted(make):
 
 
 @pytest.mark.parametrize("cands,expected", [
-    (lambda: candidates_projective(2, GF2), (6, (70, 75, 6, 78, 16, 28), 1065)),
+    (lambda: candidates_projective(2, GF2), (6, (70, 75, 6, 78, 16, 28), 330)),
     (lambda: candidates_affine(2, GF3, restricted=False),
-     (8, (144, 152, 174, 182, 198, 14, 28, 62), 26305)),
+     (8, (144, 152, 174, 182, 198, 14, 28, 62), 9982)),
 ], ids=["PG(2,2)", "AG(2,3)-unrestricted"])
 def test_pinned_search_results(cands, expected):
     report = max_family(cands())
     assert (report.max_size, report.witness, report.nodes_explored) == expected
+
+
+# Every set of positions still feasible after a prefix is a union of B
+# classes, so these are the numbers of distinct feasible sets the search
+# meets.  Restricted (2,5) has six blocks of seven states each: every
+# block's memo holds its own empty state.
+@pytest.mark.parametrize("cands,states", [
+    (lambda: candidates_affine(2, GF3, restricted=False), 625),
+    (lambda: candidates_projective(2, GF3), 68),
+    (lambda: candidates_projective(2, GF2), 38),
+    (lambda: candidates_affine(2, GF4, restricted=False), 7776),
+    (lambda: candidates_affine(2, make_field(5), restricted=True), 42),
+], ids=["AG(2,3)-unrestricted", "PG(2,3)", "PG(2,2)", "AG(2,4)-unrestricted",
+        "AG(2,5)-restricted"])
+def test_memo_states_are_the_feasible_sets(cands, states):
+    assert max_family(cands()).states == states
+
+
+def test_candidates_whose_members_meet_are_rejected():
+    pool = candidates_affine(2, GF2, restricted=True)
+    meets = CandidatePair(len(pool), None, None, 0b11, 0b01)
+    for cands in ([meets], pool + [meets], [meets] + pool):
+        with pytest.raises(ValueError, match=f"candidate {meets.id} has members that meet"):
+            max_family(cands)
 
 
 def test_candidates_are_disjoint_pairs_by_construction():
@@ -348,7 +372,7 @@ def test_blocks_and_node_counts():
                         restricted=True)
     assert report.max_size == 12
     assert report.witness == (0, 4, 20, 24, 40, 44, 60, 64, 80, 84, 100, 104)
-    assert (report.blocks, report.nodes_explored) == (6, 246)
+    assert (report.blocks, report.nodes_explored) == (6, 156)
     # Every restricted AG(2,2) candidate is its own block: two nodes each.
     report = max_family(candidates_affine(2, GF2, restricted=True))
     assert (report.blocks, report.nodes_explored) == (6, 12)
@@ -369,4 +393,21 @@ def test_restricted_maxima_reach_the_sharp_bound(n, q, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["max_size"] == 2 * (q ** n - 1) // (q - 1)
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n,q,witness", [
+    (2, 8, [9928, 9999, 72, 10440, 208, 1216]),
+    (2, 9, [15561, 15650, 90, 16290, 261, 1701]),
+    (3, 3, [22530, 22559, 7356, 22617, 7485, 7707, 156, 22773, 8409, 8760, 339,
+            10581, 723, 1827]),
+])
+def test_projective_maxima_beyond_the_default_cap(n, q, witness, tmp_path, capsys):
+    out = tmp_path / "witness.json"
+    code = main(["search", "--n", str(n), "--q", str(q), "--kind", "projective",
+                 "--max-candidates", "30000", "--format", "json", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["max_size"] == 2 ** (n + 1) - 2
+    assert report["witness"] == witness
     assert main(["verify", str(out)]) == 0
