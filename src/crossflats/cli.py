@@ -150,6 +150,9 @@ def cmd_verify(args) -> int:
         i, j, reason = report.violation
         payload["violation"] = {"i": i, "j": j, "reason": reason}
         lines.append(f"violation: ({i}, {j}) {reason}")
+    payload["pair_checks"] = report.pair_checks
+    payload["eliminations"] = report.eliminations
+    lines += [f"pair_checks: {report.pair_checks}", f"eliminations: {report.eliminations}"]
     _emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_FAILED
 

@@ -4,6 +4,13 @@ A family is an ordered list of pairs (A_i, B_i) of nonempty affine flats
 or projective subspaces.  It verifies when every A_i ∩ B_i is empty and
 every A_i ∩ B_j with i < j is nonempty; the condition is one-directional,
 so pair order matters.
+
+Verification is enumeration-free.  An affine family is checked on
+direction classes: each distinct direction gets one annihilator, each
+member its equation tags against it, and each distinct pair of
+directions one separator solve (see ``crossflats.geometry``), after which
+a pair check is a few dot products.  A projective pair check is one rank
+test.
 """
 
 from __future__ import annotations
@@ -16,13 +23,13 @@ from .field import Field
 from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
+    _separators,
     cosets,
-    flats_disjoint,
     make_flat,
     make_projective_subspace,
     projective_disjoint,
 )
-from .linalg import Space, enumerate_hyperplanes, rref
+from .linalg import Space, annihilator, enumerate_hyperplanes, rref, vec_dot
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -78,10 +85,17 @@ class FamilyPair:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """ok, or the first violation as 1-based (i, j, reason)."""
+    """ok, or the first violation as 1-based (i, j, reason).
+
+    pair_checks counts the member pairs decided, the violating one
+    included; eliminations counts the separator solves of an affine
+    family or the rank tests of a projective one.
+    """
 
     ok: bool
     violation: tuple[int, int, str] | None = None
+    pair_checks: int = 0
+    eliminations: int = 0
 
 
 class FamilyViolation(ValueError):
@@ -93,22 +107,79 @@ class FamilyViolation(ValueError):
         self.violation = violation
 
 
+class _DirectionClasses:
+    """A_i ∩ B_j = ∅ for the flats of an affine family, decided on their
+    directions' classes.
+
+    Each distinct direction gets a class number and one annihilator basis
+    W; each member keeps its class and its tags W.rep, so its equations
+    are [W | tags].  The separators of a pair of classes are solved on
+    first use and kept in one row per A class.
+    """
+
+    def __init__(self, fam: FamilyPair):
+        self.space = fam.ambient
+        self.classes = {}  # direction basis -> class number
+        self.bases = []    # class number -> annihilator basis
+        self.a_side = [self._tagged(a) for a, _ in fam.pairs]
+        self.b_side = [self._tagged(b) for _, b in fam.pairs]
+        self.rows = [None] * len(self.bases)  # A class -> [separators per B class]
+        self.solves = 0
+
+    def _tagged(self, flat: AffineFlat):
+        number = self.classes.setdefault(flat.direction.basis, len(self.bases))
+        if number == len(self.bases):
+            self.bases.append(annihilator(flat.direction).basis)
+        space = self.space
+        return number, tuple(vec_dot(space, w, flat.rep) for w in self.bases[number])
+
+    def disjoint(self, i: int, j: int) -> bool:
+        a_class, a_tags = self.a_side[i]
+        b_class, b_tags = self.b_side[j]
+        row = self.rows[a_class]
+        if row is None:
+            row = self.rows[a_class] = [None] * len(self.bases)
+        separators = row[b_class]
+        if separators is None:
+            separators = row[b_class] = _separators(
+                self.space, self.bases[a_class], self.bases[b_class])
+            self.solves += 1
+        if not separators:
+            return False
+        tags = a_tags + b_tags
+        return any(vec_dot(self.space, y, tags) for y in separators)
+
+
 def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
     """Check the pair conditions; only i < j is constrained off-diagonal.
 
     Diagonal checks run first (i ascending), then the strict upper
-    triangle in row-major order; the first violation is reported.
+    triangle in row-major order; the first violation is reported, with
+    the pair checks made up to it.  An affine family is decided on its
+    direction classes: one separator solve per distinct (dir A_i, dir B_j)
+    met, not one elimination per pair.  FamilyPair has checked the
+    members' ambient space once, so no pair check repeats that.
     """
-    disjoint = flats_disjoint if fam.kind == AFFINE else projective_disjoint
     pairs = fam.pairs
-    for i, (a, b) in enumerate(pairs):
-        if not disjoint(a, b):
-            return VerifyReport(False, (i + 1, i + 1, DIAGONAL_NONEMPTY))
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if disjoint(pairs[i][0], pairs[j][1]):
-                return VerifyReport(False, (i + 1, j + 1, OFFDIAGONAL_EMPTY))
-    return VerifyReport(True)
+    m = len(pairs)
+    if fam.kind == AFFINE:
+        classes = _DirectionClasses(fam)
+        disjoint = classes.disjoint
+    else:
+        classes = None
+
+        def disjoint(i, j):
+            return projective_disjoint(pairs[i][0], pairs[j][1])
+    checks = 0
+    violation = None
+    diagonal = ((i, i) for i in range(m))
+    for i, j in itertools.chain(diagonal, itertools.combinations(range(m), 2)):
+        checks += 1
+        if disjoint(i, j) != (i == j):
+            violation = (i + 1, j + 1, DIAGONAL_NONEMPTY if i == j else OFFDIAGONAL_EMPTY)
+            break
+    eliminations = checks if classes is None else classes.solves
+    return VerifyReport(violation is None, violation, checks, eliminations)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ A member's cached ``equations``, rows [w | c] with the member equal to
 {x : w.x = c for every row}, describe its points: point masks, membership,
 incidence vectors, flats_disjoint and affine_intersect are read off them,
 and no code walks a member's points.
+
+Flat disjointness splits the equations into their left parts, which
+depend only on the direction, and their tags c.  The separators of two
+directions are a basis of the left kernel of the stacked left parts
+[W_A; W_B].  By the Fredholm alternative the system [W_A; W_B] x =
+(tags_A, tags_B) has no solution, i.e. A ∩ B is empty, iff some separator
+y has y.(tags_A ++ tags_B) != 0; so a family of flats pays one separator
+solve per distinct pair of directions, not one per pair of flats.
 """
 
 from __future__ import annotations
@@ -87,33 +95,58 @@ def make_flat(point, direction: Subspace) -> AffineFlat:
     return AffineFlat(reduce_mod_basis(direction, point), direction)
 
 
-def _intersection_rows(A: AffineFlat, B: AffineFlat):
-    """RREF of A.equations + B.equations, tag column last, or None when
-    the system is inconsistent, i.e. A ∩ B is empty: the tag column then
-    takes a pivot, which can only sit in the last row."""
-    space = _same_space(A.space, B.space)
-    reduced = _rref_rows(space.field, A.equations + B.equations, space.n + 1)
-    if reduced and _pivot(reduced[-1]) == space.n:
-        return None
-    return reduced
+def _separators(space: Space, left_a, left_b) -> tuple[tuple[int, ...], ...]:
+    """Basis of the left kernel of [left_a; left_b], two RREF row bases
+    (the left parts of two flats' equations): the vectors (λ, μ) with
+    Σ λ_i a_i + Σ μ_j b_j = 0.
+
+    Each row b_j, tracked as [b_j | e_(r+j)], is reduced against the
+    pivot rows [a_i | e_i] of left_a, so every row keeps its (λ, μ) in
+    the tracked columns.  A residual row whose left part vanishes is a
+    kernel vector; the nonzero residual rows add the kernel rows of one
+    elimination, when there are two or more of them (one nonzero row is
+    independent)."""
+    field, n = space.field, space.n
+    sub_scaled = field.unchecked.sub_scaled
+    r, width = len(left_a), len(left_a) + len(left_b)
+
+    def tracked(row, k):
+        return row + (0,) * k + (1,) + (0,) * (width - k - 1)
+
+    pivot_rows = [(_pivot(a), tracked(a, i)) for i, a in enumerate(left_a)]
+    kernel, residual = [], []
+    for j, b in enumerate(left_b):
+        row = tracked(b, r + j)
+        for p, a in pivot_rows:
+            if row[p]:
+                row = sub_scaled(row, row[p], a)
+        (residual if any(row[:n]) else kernel).append(row)
+    if len(residual) > 1:
+        kernel += (row for row in _rref_rows(field, residual, n + width) if _pivot(row) >= n)
+    return tuple(tuple(row[n:]) for row in kernel)
 
 
 def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
-    """Empty intersection test: one elimination of both equation stacks,
-    2n - dim A - dim B rows (two for a pair of hyperplane cosets)."""
-    return _intersection_rows(A, B) is None
+    """Empty intersection test, the one disjointness path for flats: A ∩ B
+    is empty iff a separator of the two directions (see the module
+    docstring) takes a nonzero value on the equation tags."""
+    space = _same_space(A.space, B.space)
+    tags = tuple(row[-1] for row in A.equations + B.equations)
+    separators = _separators(space, [row[:-1] for row in A.equations],
+                             [row[:-1] for row in B.equations])
+    return any(vec_dot(space, y, tags) for y in separators)
 
 
 def affine_intersect(A: AffineFlat, B: AffineFlat):
-    """Canonical flat A ∩ B, or None when disjoint: one elimination of both
-    equation stacks.  Each pivot row gives its pivot coordinate of a point
-    (free ones 0), and the direction is the annihilator of the rows' left
-    parts."""
-    reduced = _intersection_rows(A, B)
-    if reduced is None:
+    """Canonical flat A ∩ B, or None when disjoint (flats_disjoint).  A
+    pair that meets is solved by one elimination of both equation stacks:
+    each pivot row gives its pivot coordinate of a point (free ones 0),
+    and the direction is the annihilator of the rows' left parts."""
+    if flats_disjoint(A, B):
         return None
     space = A.space
     n = space.n
+    reduced = _rref_rows(space.field, A.equations + B.equations, n)
     point = [0] * n
     for row in reduced:
         point[_pivot(row)] = row[n]

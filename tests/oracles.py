@@ -52,6 +52,19 @@ def members_meet(a, b):
     return bool(member_points(a) & member_points(b))
 
 
+def naive_verify(pairs):
+    """(first violation as 1-based (i, j, reason) or None, pairs decided)
+    by members_meet, in verify's order: the diagonal, then the strict
+    upper triangle row-major."""
+    m = len(pairs)
+    order = [(i, i) for i in range(m)] + list(itertools.combinations(range(m), 2))
+    for checks, (i, j) in enumerate(order, 1):
+        if members_meet(pairs[i][0], pairs[j][1]) == (i == j):
+            reason = "diagonal_nonempty" if i == j else "offdiagonal_empty"
+            return (i + 1, j + 1, reason), checks
+    return None, len(order)
+
+
 def naive_max_family(candidates):
     """Max ordered-sequence length by permutation enumeration (<= 8 candidates).
 

@@ -45,7 +45,9 @@ def test_construct_verify_round_trip(tmp_path, capsys):
 
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 0
-    assert "ok: true" in stdout
+    # m = 6 pairs give 21 pair checks over 3 x 3 direction pairs
+    assert stdout.splitlines() == ["kind: affine", "m: 6", "ok: true",
+                                   "pair_checks: 21", "eliminations: 9"]
 
 
 def test_construct_lower_bound_to_stdout(capsys):
@@ -65,9 +67,11 @@ def test_verify_exit_codes_on_corrupted_families(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(bad1), "--format", "json")
     assert code == 1
     report = json.loads(stdout)
+    assert list(report) == ["ok", "m", "kind", "violation", "pair_checks", "eliminations"]
     assert report["ok"] is False
     assert report["violation"]["reason"] == "diagonal_nonempty"
     assert (report["violation"]["i"], report["violation"]["j"]) == (1, 1)
+    assert (report["pair_checks"], report["eliminations"]) == (1, 1)
 
     offdiag = json.loads(json.dumps(data))
     offdiag["pairs"] = [offdiag["pairs"][0], offdiag["pairs"][0]]
@@ -75,7 +79,32 @@ def test_verify_exit_codes_on_corrupted_families(tmp_path, capsys):
     bad2.write_text(json.dumps(offdiag))
     code, stdout, _ = run(capsys, "verify", str(bad2), "--format", "json")
     assert code == 1
-    assert json.loads(stdout)["violation"]["reason"] == "offdiagonal_empty"
+    report = json.loads(stdout)
+    assert report["violation"] == {"i": 1, "j": 2, "reason": "offdiagonal_empty"}
+    # two diagonal checks, then (1, 2); all three on one direction pair
+    assert (report["pair_checks"], report["eliminations"]) == (3, 1)
+
+
+def test_construct_verify_round_trip_ag_4_5(tmp_path, capsys):
+    out = tmp_path / "ag45.json"
+    assert run(capsys, "construct", "--n", "4", "--q", "5", "--out", str(out))[0] == 0
+    code, stdout, _ = run(capsys, "verify", str(out), "--format", "json")
+    assert code == 0
+    report = json.loads(stdout)
+    m, t = 312, 156
+    assert (report["ok"], report["m"]) == (True, m)
+    assert report["pair_checks"] == m * (m + 1) // 2
+    assert report["eliminations"] <= t * t
+
+    # Pair 40 repeated at 100: A_40 misses B_100 = B_40, and every earlier
+    # check still meets, so (40, 100) is the first violation.
+    data = json.loads(out.read_text())
+    data["pairs"][99] = data["pairs"][39]
+    bad = tmp_path / "planted.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    assert "violation: (40, 100) offdiagonal_empty" in stdout.splitlines()
 
 
 def _count_verifies(monkeypatch):

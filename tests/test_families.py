@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crossflats import families
 from crossflats.families import (
     AFFINE,
     DIAGONAL_NONEMPTY,
@@ -21,9 +22,10 @@ from crossflats.families import (
     verify_cross_intersecting,
 )
 from crossflats.field import make_field
-from crossflats.geometry import make_flat, make_projective_subspace
+from crossflats.geometry import enumerate_flats, make_flat, make_projective_subspace
 from crossflats.linalg import Space, rref
 from crossflats.search import candidates_affine, compatible
+from oracles import members_meet, naive_verify
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -165,6 +167,93 @@ def test_family_validation():
     point = make_projective_subspace(1, GF2, [(1, 0)])
     with pytest.raises(ValueError):
         FamilyPair(PROJECTIVE, GF2, 1, ((point, empty_member),))
+
+
+def _grown_pairs(flats, rng, size):
+    """Up to size pairs (A, B) of disjoint flats, each B meeting every
+    earlier A, decided on point sets: a family that verifies."""
+    pairs = []
+    for _ in range(40 * size):
+        a, b = rng.choice(flats), rng.choice(flats)
+        if (not members_meet(a, b)
+                and all(members_meet(prev, b) for prev, _ in pairs)):
+            pairs.append((a, b))
+            if len(pairs) == size:
+                break
+    return pairs
+
+
+def _mixed_families(field, n, seed):
+    """Seeded families of points, lines, planes and hyperplanes of AG(n, q):
+    grown ones that verify, each with a planted diagonal violation (B_k
+    replaced by A_k) and a planted off-diagonal one (pair i repeated at
+    j > i, so that A_i misses B_j first of all), and arbitrary pair lists.
+    Yields (pairs, planted violation or None when unknown)."""
+    rng = random.Random(seed)
+    flats = [f for f in enumerate_flats(Space(field, n)) if f.dim < n]
+    for _ in range(6):
+        pairs = _grown_pairs(flats, rng, rng.randint(3, 8))
+        yield pairs, None
+        k = rng.randrange(len(pairs))
+        diagonal = list(pairs)
+        diagonal[k] = (pairs[k][0], pairs[k][0])
+        yield diagonal, (k + 1, k + 1, DIAGONAL_NONEMPTY)
+        i, j = sorted(rng.sample(range(len(pairs)), 2))
+        offdiagonal = list(pairs)
+        offdiagonal[j] = pairs[i]
+        yield offdiagonal, (i + 1, j + 1, OFFDIAGONAL_EMPTY)
+        yield [(rng.choice(flats), rng.choice(flats)) for _ in range(5)], None
+
+
+@pytest.mark.parametrize("n,field", [
+    (3, GF2), (2, GF3), (2, make_field(2, 2)), (3, GF3), (4, GF2),
+], ids=["AG(3,2)", "AG(2,3)", "AG(2,4)", "AG(3,3)", "AG(4,2)"])
+def test_verify_matches_the_point_set_oracle_at_mixed_dimensions(monkeypatch, n, field):
+    solved = []  # (kernel dimension, nonzero residual rank) per separator solve
+    separators = families._separators
+
+    def recording(space, left_a, left_b):
+        kernel = separators(space, left_a, left_b)
+        solved.append((len(kernel), len(left_b) - len(kernel)))
+        return kernel
+
+    monkeypatch.setattr(families, "_separators", recording)
+    for seed in range(4):
+        for pairs, planted in _mixed_families(field, n, 1000 * n + 10 * field.q + seed):
+            report = verify_cross_intersecting(FamilyPair(AFFINE, field, n, tuple(pairs)))
+            violation, checks = naive_verify(pairs)
+            assert (report.ok, report.violation, report.pair_checks) == (
+                violation is None, violation, checks)
+            if planted is not None:
+                assert violation == planted
+    assert max(k for k, _ in solved) >= 2
+    # Residual rows of rank >= 2 need an elimination; in a plane the rank is
+    # at most 2 - dim ann(dir A) <= 1.
+    assert max(rank for _, rank in solved) >= (2 if n >= 3 else 1)
+
+
+def test_extremal_verify_solves_once_per_direction_pair():
+    field = make_field(2, 3)
+    fam = construct_extremal_affine(3, field)
+    t, m = 73, fam.m
+    assert m == 2 * t
+    shuffled = list(fam.pairs)
+    random.Random(8).shuffle(shuffled)  # every order of this family verifies
+    for pairs in (fam.pairs, tuple(shuffled)):
+        report = verify_cross_intersecting(FamilyPair(AFFINE, field, 3, pairs))
+        assert report.ok
+        assert report.pair_checks == m * (m + 1) // 2 == 10731
+        assert report.eliminations <= t * t == 5329
+
+
+def test_projective_verify_counts_one_rank_test_per_pair():
+    p1 = make_projective_subspace(1, GF2, [(1, 0)])
+    p2 = make_projective_subspace(1, GF2, [(0, 1)])
+    report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p2, p1))))
+    assert (report.ok, report.pair_checks, report.eliminations) == (True, 3, 3)
+    report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p1, p2))))
+    assert report.violation == (1, 2, OFFDIAGONAL_EMPTY)
+    assert (report.pair_checks, report.eliminations) == (3, 3)
 
 
 # ---------------------------------------------------------------------------
