@@ -8,9 +8,17 @@ so pair order matters.
 Verification is enumeration-free.  An affine family is checked on
 direction classes: each distinct direction gets one annihilator, each
 member its equation tags against it, and each distinct pair of
-directions one separator solve (see ``crossflats.geometry``), after which
-a pair check is a few dot products.  A projective pair check is one rank
-test.
+directions met at most one separator solve (see ``crossflats.geometry``),
+after which a pair check is a few dot products.  Two distinct classes of
+hyperplane cosets need no solve: their one-row annihilators are not
+parallel, so the cosets always meet.  The paper's extremal family is made
+of hyperplane cosets only, so it is solved on its same-direction pairs
+alone.  A projective pair check is one rank test.
+
+The file loader checks each vector of a file once, at the boundary: a
+list of n entries (n + 1 in a projective file) of type int in [0, q).
+It then builds the members from trusted parts, without the checks of the
+public constructors.
 """
 
 from __future__ import annotations
@@ -23,13 +31,12 @@ from .field import Field
 from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
+    _flat,
     _separators,
     cosets,
-    make_flat,
-    make_projective_subspace,
     projective_disjoint,
 )
-from .linalg import Space, annihilator, enumerate_hyperplanes, rref, vec_dot
+from .linalg import Space, _span, annihilator, enumerate_hyperplanes, vec_dot
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -113,8 +120,18 @@ class _DirectionClasses:
 
     Each distinct direction gets a class number and one annihilator basis
     W; each member keeps its class and its tags W.rep, so its equations
-    are [W | tags].  The separators of a pair of classes are solved on
+    are [W | tags].  The separators of a pair of classes are found on
     first use and kept in one row per A class.
+
+    Two distinct classes whose bases have one row each have no
+    separators, with no solve.  Classes are keyed on the direction's
+    basis, and the annihilator is a bijection on subspaces, so distinct
+    classes have distinct one-dimensional annihilators, each spanned by
+    its one normalized RREF row.  Two distinct normalized rows are
+    linearly independent, so [w_A; w_B] has no left kernel: two
+    non-parallel hyperplane cosets always meet.  Every other pair of
+    classes, a class with itself included, is one separator solve, and
+    ``solves`` counts those alone.
     """
 
     def __init__(self, fam: FamilyPair):
@@ -141,9 +158,13 @@ class _DirectionClasses:
             row = self.rows[a_class] = [None] * len(self.bases)
         separators = row[b_class]
         if separators is None:
-            separators = row[b_class] = _separators(
-                self.space, self.bases[a_class], self.bases[b_class])
-            self.solves += 1
+            left_a, left_b = self.bases[a_class], self.bases[b_class]
+            if a_class != b_class and len(left_a) == 1 == len(left_b):
+                separators = ()
+            else:
+                separators = _separators(self.space, left_a, left_b)
+                self.solves += 1
+            row[b_class] = separators
         if not separators:
             return False
         tags = a_tags + b_tags
@@ -156,9 +177,10 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
     Diagonal checks run first (i ascending), then the strict upper
     triangle in row-major order; the first violation is reported, with
     the pair checks made up to it.  An affine family is decided on its
-    direction classes: one separator solve per distinct (dir A_i, dir B_j)
-    met, not one elimination per pair.  FamilyPair has checked the
-    members' ambient space once, so no pair check repeats that.
+    direction classes: at most one separator solve per distinct
+    (dir A_i, dir B_j) met, not one elimination per pair.  FamilyPair
+    has checked the members' ambient space once, so no pair check
+    repeats that.
     """
     pairs = fam.pairs
     m = len(pairs)
@@ -250,20 +272,39 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _vector(value, what: str) -> tuple[int, ...]:
+def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(_int(c, f"{what} entry") for c in _list(value, what))
 
 
-def _rows(value, what: str) -> list[tuple[int, ...]]:
-    return [_vector(r, f"{what} row") for r in _list(value, what)]
+def _vectors(values, what: str, space: Space) -> list[tuple[int, ...]]:
+    """The given JSON values as vectors of the space.  One pass per value
+    accepts a list of n entries of type int in [0, q).  A defect sends
+    every value through the checks one at a time, types of all entries
+    first, then each vector's length and entries, so the message names
+    the defect those checks meet first."""
+    n, q = space.n, space.q
+    for v in values:
+        if isinstance(v, list) and len(v) == n:
+            for c in v:
+                if type(c) is not int or not 0 <= c < q:
+                    break
+            else:
+                continue  # v is a vector of the space
+        checked = [_ints(value, what) for value in values]
+        return [space.check_vector(vector) for vector in checked]
+    return [tuple(v) for v in values]
 
 
-def _member_from_dict(kind: str, field: Field, n: int, data):
+def _affine_member(space: Space, data) -> AffineFlat:
     data = _object(data, "family member")
-    if kind == AFFINE:
-        direction = rref(Space(field, n), _rows(data["dir"], "dir"))
-        return make_flat(_vector(data["rep"], "rep"), direction)
-    return make_projective_subspace(n, field, _rows(data["lin"], "lin"))
+    rows = _vectors(_list(data["dir"], "dir"), "dir row", space)
+    return _flat(_span(space, rows), _vectors([data["rep"]], "rep", space)[0])
+
+
+def _projective_member(space: Space, data) -> ProjectiveSubspace:
+    data = _object(data, "family member")
+    rows = _vectors(_list(data["lin"], "lin"), "lin row", space)
+    return ProjectiveSubspace(_span(space, rows))
 
 
 def family_to_dict(fam: FamilyPair) -> dict:
@@ -293,14 +334,18 @@ def family_from_dict(data) -> FamilyPair:
         if kind not in (AFFINE, PROJECTIVE):
             raise ValueError(f"unknown family kind {kind!r}")
         fd = _object(data["field"], "field")
-        field = Field(_int(fd["p"], "p"), _int(fd["k"], "k"),
-                      _vector(fd["modulus"], "modulus"))
+        field = Field(_int(fd["p"], "p"), _int(fd["k"], "k"), _ints(fd["modulus"], "modulus"))
         n = _int(data["n"], "n")
+        entries = _list(data["pairs"], "pairs")
         pairs = []
-        for entry in _list(data["pairs"], "pairs"):
-            entry = _object(entry, "pair")
-            pairs.append((_member_from_dict(kind, field, n, entry["A"]),
-                          _member_from_dict(kind, field, n, entry["B"])))
+        if entries:
+            # Space rejects a bad n here; without pairs, FamilyPair does,
+            # with its own message.
+            space = Space(field, n if kind == AFFINE else n + 1)
+            member = _affine_member if kind == AFFINE else _projective_member
+            for entry in entries:
+                entry = _object(entry, "pair")
+                pairs.append((member(space, entry["A"]), member(space, entry["B"])))
     except KeyError as exc:
         raise ValueError(f"family file is missing key {exc}") from exc
     return FamilyPair(kind, field, n, tuple(pairs))

@@ -25,12 +25,12 @@ from .linalg import (
     Space,
     Subspace,
     _pivot,
+    _reduced,
     _rref_rows,
     _same_space,
     _trusted_subspace,
     annihilator,
     enumerate_subspaces,
-    reduce_mod_basis,
     rref,
     vec_dot,
 )
@@ -92,7 +92,17 @@ def _satisfies(member, v) -> bool:
 
 def make_flat(point, direction: Subspace) -> AffineFlat:
     """Canonical flat point + direction; equal cosets map to equal values."""
-    return AffineFlat(reduce_mod_basis(direction, point), direction)
+    return _flat(direction, direction.space.check_vector(point))
+
+
+def _flat(direction: Subspace, point) -> AffineFlat:
+    """make_flat for a point already checked.  Reducing the point against
+    the direction's pivots makes a valid rep, so AffineFlat's checks are
+    skipped, as linalg._trusted_subspace skips Subspace's."""
+    flat = object.__new__(AffineFlat)
+    object.__setattr__(flat, "rep", _reduced(direction, point))
+    object.__setattr__(flat, "direction", direction)
+    return flat
 
 
 def _separators(space: Space, left_a, left_b) -> tuple[tuple[int, ...], ...]:
@@ -100,30 +110,36 @@ def _separators(space: Space, left_a, left_b) -> tuple[tuple[int, ...], ...]:
     (the left parts of two flats' equations): the vectors (λ, μ) with
     Σ λ_i a_i + Σ μ_j b_j = 0.
 
-    Each row b_j, tracked as [b_j | e_(r+j)], is reduced against the
-    pivot rows [a_i | e_i] of left_a, so every row keeps its (λ, μ) in
-    the tracked columns.  A residual row whose left part vanishes is a
-    kernel vector; the nonzero residual rows add the kernel rows of one
-    elimination, when there are two or more of them (one nonzero row is
-    independent)."""
+    left_a is in RREF, so reducing a row b_j against it subtracts
+    b_j[p_i]·a_i for each pivot column p_i, and no step moves another
+    pivot entry: the residual is b_j − Σ b_j[p_i]·a_i, with coefficients
+    λ = (−b_j[p_i])_i and μ = e_j.  A residual whose left part vanishes
+    gives the kernel vector (λ, μ); the nonzero residuals, tagged with
+    their (λ, μ), add the kernel rows of one elimination, when there are
+    two or more of them (one nonzero row is independent)."""
     field, n = space.field, space.n
-    sub_scaled = field.unchecked.sub_scaled
-    r, width = len(left_a), len(left_a) + len(left_b)
+    neg, sub_scaled = field.unchecked.neg, field.unchecked.sub_scaled
+    pivots = [_pivot(a) for a in left_a]
+    s = len(left_b)
 
-    def tracked(row, k):
-        return row + (0,) * k + (1,) + (0,) * (width - k - 1)
+    def coefficients(b, j):
+        return tuple([neg(b[p]) for p in pivots]) + (0,) * j + (1,) + (0,) * (s - j - 1)
 
-    pivot_rows = [(_pivot(a), tracked(a, i)) for i, a in enumerate(left_a)]
     kernel, residual = [], []
     for j, b in enumerate(left_b):
-        row = tracked(b, r + j)
-        for p, a in pivot_rows:
-            if row[p]:
-                row = sub_scaled(row, row[p], a)
-        (residual if any(row[:n]) else kernel).append(row)
+        row = b
+        for p, a in zip(pivots, left_a):
+            if b[p]:
+                row = sub_scaled(row, b[p], a)
+        if any(row):
+            residual.append((row, b, j))
+        else:
+            kernel.append(coefficients(b, j))
     if len(residual) > 1:
-        kernel += (row for row in _rref_rows(field, residual, n + width) if _pivot(row) >= n)
-    return tuple(tuple(row[n:]) for row in kernel)
+        tracked = [tuple(row) + coefficients(b, j) for row, b, j in residual]
+        width = n + len(left_a) + s
+        kernel += (row[n:] for row in _rref_rows(field, tracked, width) if _pivot(row) >= n)
+    return tuple(kernel)
 
 
 def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:

@@ -181,8 +181,12 @@ def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
 
 def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
     """Eliminate v against the RREF basis; zero remainder means membership."""
+    return _reduced(U, U.space.check_vector(v))
+
+
+def _reduced(U: Subspace, r) -> tuple[int, ...]:
+    """reduce_mod_basis for a vector already checked."""
     sub_scaled = U.space.field.unchecked.sub_scaled
-    r = U.space.check_vector(v)
     for row in U.basis:
         c = r[_pivot(row)]
         if c:

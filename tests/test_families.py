@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crossflats import families
+from crossflats import families, geometry
 from crossflats.families import (
     AFFINE,
     DIAGONAL_NONEMPTY,
@@ -210,11 +210,13 @@ def _mixed_families(field, n, seed):
 ], ids=["AG(3,2)", "AG(2,3)", "AG(2,4)", "AG(3,3)", "AG(4,2)"])
 def test_verify_matches_the_point_set_oracle_at_mixed_dimensions(monkeypatch, n, field):
     solved = []  # (kernel dimension, nonzero residual rank) per separator solve
+    shapes = []  # (rows of left_a, rows of left_b, same class) per separator solve
     separators = families._separators
 
     def recording(space, left_a, left_b):
         kernel = separators(space, left_a, left_b)
         solved.append((len(kernel), len(left_b) - len(kernel)))
+        shapes.append((len(left_a), len(left_b), left_a == left_b))
         return kernel
 
     monkeypatch.setattr(families, "_separators", recording)
@@ -230,11 +232,24 @@ def test_verify_matches_the_point_set_oracle_at_mixed_dimensions(monkeypatch, n,
     # Residual rows of rank >= 2 need an elimination; in a plane the rank is
     # at most 2 - dim ann(dir A) <= 1.
     assert max(rank for _, rank in solved) >= (2 if n >= 3 else 1)
+    # Two distinct classes of hyperplane cosets are never solved (they
+    # always meet); a hyperplane class against a smaller flat's class is.
+    assert all(a > 1 or b > 1 or same for a, b, same in shapes)
+    if n >= 3:
+        assert any(min(a, b) == 1 < max(a, b) for a, b, _ in shapes)
 
 
-def test_extremal_verify_solves_once_per_direction_pair():
+def test_extremal_verify_solves_only_same_direction_pairs(monkeypatch):
+    # The family is made of hyperplane cosets over t directions: of the
+    # t x t direction pairs, only the t with equal directions are solved.
     field = make_field(2, 3)
     fam = construct_extremal_affine(3, field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify walked points")
+
+    monkeypatch.setattr(Space, "vectors", refuse)
+    monkeypatch.setattr(geometry.PointMasks, "__init__", refuse)
     t, m = 73, fam.m
     assert m == 2 * t
     shuffled = list(fam.pairs)
@@ -243,7 +258,7 @@ def test_extremal_verify_solves_once_per_direction_pair():
         report = verify_cross_intersecting(FamilyPair(AFFINE, field, 3, pairs))
         assert report.ok
         assert report.pair_checks == m * (m + 1) // 2 == 10731
-        assert report.eliminations <= t * t == 5329
+        assert report.eliminations == t
 
 
 def test_projective_verify_counts_one_rank_test_per_pair():

@@ -1,0 +1,54 @@
+"""Smoke test of tools/output_digest.py on two of its instances."""
+
+import ast
+import hashlib
+import json
+import pathlib
+import re
+import subprocess
+import sys
+
+from crossflats.families import construct_extremal_affine, dump_family
+from crossflats.field import make_field
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "output_digest.py"
+SUBSET = ["--only", "ag-2-2", "--only", "search-projective-2-2"]
+
+
+def digest(*options):
+    done = subprocess.run([sys.executable, str(TOOL), *SUBSET, *options],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    return [line.split("  ", 1) for line in done.stdout.splitlines()]
+
+
+def test_digest_lines_are_stable_and_cover_every_op():
+    lines = digest()
+    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha, _ in lines)
+    commands = [op.split()[0] for _, op in lines]
+    # ag-2-2: construct, then verify twice and certify on 4 files;
+    # the projective search: search, then verify twice and certify.
+    assert commands.count("construct") == 1 and commands.count("search") == 1
+    assert (commands.count("verify"), commands.count("certify")) == (10, 5)
+    assert digest() == lines
+
+    # The construct line digests exit code, stdout, stderr and the file.
+    text = dump_family(construct_extremal_affine(2, make_field(2)))
+    expected = hashlib.sha256(json.dumps([0, "", "", text]).encode()).hexdigest()
+    assert lines[0] == [expected, "construct --n 2 --q 2 --out ag-2-2.json"]
+
+
+def test_mask_changes_only_the_ops_that_print_the_key():
+    plain, masked = digest(), digest("--mask", "eliminations")
+    changed = {op for (sha, op), (other, _) in zip(plain, masked) if sha != other}
+    assert changed == {op for _, op in plain if op.startswith("verify")}
+
+
+def test_the_tool_imports_only_the_standard_library_and_crossflats():
+    tree = ast.parse(TOOL.read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert imported - set(sys.stdlib_module_names) == {"crossflats"}

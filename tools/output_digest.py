@@ -1,0 +1,175 @@
+"""One SHA-256 digest per crossflats command on a fixed instance list.
+
+Runs ``construct``, ``verify`` (text and JSON), ``certify`` and
+``search`` in-process through ``crossflats.cli.main``, and prints one line
+per op: the digest of its exit code, stdout, stderr and the file it
+writes, then the op's arguments.  Two trees produce the same outputs on
+these instances iff their digest lists are equal, so comparing two trees
+is one ``diff``:
+
+    python tools/output_digest.py > new.txt
+    python tools/output_digest.py --src OTHER/src > old.txt
+    diff old.txt new.txt
+
+Instances (``--only NAME`` picks some):
+
+* ``readme``: the commands of the README's CLI section;
+* ``ag-2-2``, ``ag-3-4``, ``ag-4-3``, ``ag-4-5``: the extremal family,
+  then verify and certify on it, on a seeded shuffle of it, and with a
+  planted diagonal and a planted off-diagonal violation;
+* ``search-*``: four exhaustive searches, each writing its witness, which
+  is then verified and, when projective, certified.
+
+Family files given as arguments are verified (text and JSON) and
+certified as well.  ``--mask KEY`` drops every output line that starts
+with ``KEY:`` or ``"KEY":`` before digesting, for a counter that is
+meant to change (``--mask eliminations``).  Only the standard library and
+crossflats are imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+README = [
+    ["construct", "--n", "2", "--q", "2", "--out", "fam.json"],
+    ["construct", "--n", "2", "--q", "3", "--lower-bound"],
+    ["verify", "fam.json"],
+    ["search", "--n", "2", "--q", "2", "--kind", "affine", "--restricted", "--format", "json"],
+    ["search", "--n", "1", "--q", "2", "--kind", "projective", "--out", "witness.json"],
+    ["certify", "witness.json", "--emit-matrix"],
+    ["hyperplanes", "--n", "3", "--q", "2"],
+    ["points", "--n", "2", "--q", "2"],
+]
+EXTREMAL = {"ag-2-2": (2, 2), "ag-3-4": (3, 4), "ag-4-3": (4, 3), "ag-4-5": (4, 5)}
+SEARCHES = {
+    "search-affine-restricted-2-5": ("affine", True, 2, 5),
+    "search-projective-2-3": ("projective", False, 2, 3),
+    "search-affine-2-3": ("affine", False, 2, 3),
+    "search-projective-2-2": ("projective", False, 2, 2),
+}
+INSTANCES = ["readme", *EXTREMAL, *SEARCHES]
+
+
+def _checks(path: str) -> list[list[str]]:
+    """verify in both formats and certify in JSON, on one family file."""
+    return [["verify", path], ["verify", path, "--format", "json"],
+            ["certify", path, "--format", "json"]]
+
+
+def _write(path: str, doc: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+class Digester:
+    """Runs ops in the current directory and prints a digest line for each."""
+
+    def __init__(self, main, masks):
+        self.main = main
+        self.mask = re.compile(
+            "^\\s*(" + "|".join(re.escape(k) + ":|\"" + re.escape(k) + "\":" for k in masks)
+            + ").*\\n?", re.MULTILINE) if masks else None
+
+    def run(self, argv: list[str]):
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = self.main(list(argv))
+        written = None
+        if out is not None and os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                written = fh.read()
+        texts = [stdout.getvalue(), stderr.getvalue()]
+        if self.mask is not None:
+            texts = [self.mask.sub("", text) for text in texts]
+        payload = json.dumps([code, *texts, written])
+        print(f"{hashlib.sha256(payload.encode()).hexdigest()}  {' '.join(argv)}")
+
+    def extremal(self, name: str, n: int, q: int):
+        built = f"{name}.json"
+        self.run(["construct", "--n", str(n), "--q", str(q), "--out", built])
+        with open(built, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        rng = random.Random(f"{name} shuffle")
+        pairs = doc["pairs"]
+        shuffled = rng.sample(pairs, len(pairs))
+        k = rng.randrange(len(pairs))
+        diagonal = [dict(p) for p in shuffled]
+        diagonal[k]["B"] = diagonal[k]["A"]
+        i, j = sorted(rng.sample(range(len(pairs)), 2))
+        offdiagonal = list(shuffled)
+        offdiagonal[j] = offdiagonal[i]
+        files = [built]
+        for suffix, variant in (("shuffled", shuffled), ("diagonal", diagonal),
+                                ("offdiagonal", offdiagonal)):
+            files.append(f"{name}-{suffix}.json")
+            _write(files[-1], {**doc, "pairs": variant})
+        for path in files:
+            for argv in _checks(path):
+                self.run(argv)
+
+    def search(self, name: str, kind: str, restricted: bool, n: int, q: int):
+        witness = f"{name}.json"
+        argv = ["search", "--kind", kind, "--n", str(n), "--q", str(q),
+                "--format", "json", "--out", witness]
+        if restricted:
+            argv.append("--restricted")
+        self.run(argv)
+        for argv in _checks(witness)[: 3 if kind == "projective" else 2]:
+            self.run(argv)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("files", nargs="*", help="family files to verify and certify too")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the crossflats package "
+                             "(default: this repository's src)")
+    parser.add_argument("--only", action="append", choices=INSTANCES, metavar="NAME",
+                        help="run only this instance (repeatable): " + ", ".join(INSTANCES))
+    parser.add_argument("--mask", action="append", default=[], metavar="KEY",
+                        help="drop output lines of this key before digesting (repeatable)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from crossflats.cli import main as crossflats_main
+
+    digester = Digester(crossflats_main, args.mask)
+    chosen = args.only or ([] if args.files else INSTANCES)
+    sources = [os.path.abspath(path) for path in args.files]
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # every path an op sees or prints is relative
+        try:
+            for name in chosen:
+                if name == "readme":
+                    for op in README:
+                        digester.run(op)
+                elif name in EXTREMAL:
+                    digester.extremal(name, *EXTREMAL[name])
+                else:
+                    digester.search(name, *SEARCHES[name])
+            for index, source in enumerate(sources):
+                local = f"file{index}-{os.path.basename(source)}"
+                shutil.copyfile(source, local)
+                for op in _checks(local):
+                    digester.run(op)
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
