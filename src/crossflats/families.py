@@ -11,18 +11,23 @@ member its equation tags against it, and each distinct pair of
 directions met at most one separator solve (see ``crossflats.geometry``),
 after which a pair check is a few dot products.  Two distinct classes of
 hyperplane cosets need no solve: their one-row annihilators are not
-parallel, so the cosets always meet.  The paper's extremal family is made
-of hyperplane cosets only, so it is solved on its same-direction pairs
-alone.  A projective pair check is one rank test.
+parallel, so the cosets always meet.  So a row i of the upper triangle
+is walked per B class that may miss A_i, from each class's first
+position after i, not per pair.  The paper's extremal family is made of
+hyperplane cosets only: it is solved on its same-direction pairs alone,
+and a row costs one class.  A projective pair check is one rank test.
 
 The file loader checks each vector of a file once, at the boundary: a
 list of n entries (n + 1 in a projective file) of type int in [0, q).
 It then builds the members from trusted parts, without the checks of the
-public constructors.
+public constructors, and spans each distinct row list once.  The
+writer fills a %d template per shape of pair with the entries, and
+writes the bytes that json.dumps(..., indent=2) would.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,9 +37,9 @@ from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
     _flat,
+    _projective_disjoint,
     _separators,
     cosets,
-    projective_disjoint,
 )
 from .linalg import Space, _span, annihilator, enumerate_hyperplanes, vec_dot
 
@@ -142,6 +147,12 @@ class _DirectionClasses:
         self.b_side = [self._tagged(b) for _, b in fam.pairs]
         self.rows = [None] * len(self.bases)  # A class -> [separators per B class]
         self.solves = 0
+        self.positions = [[] for _ in self.bases]  # B class -> its j, ascending
+        for j, (number, _) in enumerate(self.b_side):
+            self.positions[number].append(j)
+        # The B classes that a one-row A class of another direction may miss.
+        self.wide = [c for c, basis in enumerate(self.bases)
+                     if len(basis) != 1 and self.positions[c]]
 
     def _tagged(self, flat: AffineFlat):
         number = self.classes.setdefault(flat.direction.basis, len(self.bases))
@@ -150,9 +161,7 @@ class _DirectionClasses:
         space = self.space
         return number, tuple(vec_dot(space, w, flat.rep) for w in self.bases[number])
 
-    def disjoint(self, i: int, j: int) -> bool:
-        a_class, a_tags = self.a_side[i]
-        b_class, b_tags = self.b_side[j]
+    def separators(self, a_class: int, b_class: int):
         row = self.rows[a_class]
         if row is None:
             row = self.rows[a_class] = [None] * len(self.bases)
@@ -165,10 +174,50 @@ class _DirectionClasses:
                 separators = _separators(self.space, left_a, left_b)
                 self.solves += 1
             row[b_class] = separators
-        if not separators:
-            return False
-        tags = a_tags + b_tags
+        return separators
+
+    def _misses(self, separators, a_tags, j: int) -> bool:
+        tags = a_tags + self.b_side[j][1]
         return any(vec_dot(self.space, y, tags) for y in separators)
+
+    def disjoint(self, i: int, j: int) -> bool:
+        a_class, a_tags = self.a_side[i]
+        return self._misses(self.separators(a_class, self.b_side[j][0]), a_tags, j)
+
+    def first_disjoint(self, i: int) -> int:
+        """The least j > i with A_i ∩ B_j = ∅, or m if there is none.
+
+        Only the B classes that may miss A_i are visited: A_i's own
+        class, and the classes without one row (every class, when A_i's
+        has more than one).  They are visited in the order of their first
+        position after i, up to the least violating j found so far, so a
+        class is solved exactly when a walk over the pairs (i, i+1),
+        (i, i+2), ... up to that j would meet it first."""
+        a_class, a_tags = self.a_side[i]
+        if len(self.bases[a_class]) == 1:
+            candidates = [a_class, *self.wide]
+        else:
+            candidates = range(len(self.bases))
+        firsts = []
+        for c in candidates:
+            positions = self.positions[c]
+            k = bisect.bisect_right(positions, i)
+            if k < len(positions):
+                firsts.append((positions[k], c, k))
+        firsts.sort()
+        found = len(self.b_side)
+        for first, c, k in firsts:
+            if first > found:
+                break
+            separators = self.separators(a_class, c)
+            if separators:
+                for j in itertools.islice(self.positions[c], k, None):
+                    if j > found:
+                        break
+                    if self._misses(separators, a_tags, j):
+                        found = j
+                        break
+        return found
 
 
 def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
@@ -178,28 +227,37 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
     triangle in row-major order; the first violation is reported, with
     the pair checks made up to it.  An affine family is decided on its
     direction classes: at most one separator solve per distinct
-    (dir A_i, dir B_j) met, not one elimination per pair.  FamilyPair
-    has checked the members' ambient space once, so no pair check
-    repeats that.
+    (dir A_i, dir B_j) met, not one elimination per pair, and a row of
+    the triangle is walked per B class that may miss A_i, not per pair;
+    the pair checks follow in closed form.  FamilyPair has checked the
+    members' ambient space once, so no pair check repeats that.
     """
     pairs = fam.pairs
     m = len(pairs)
     if fam.kind == AFFINE:
         classes = _DirectionClasses(fam)
-        disjoint = classes.disjoint
+        disjoint, first_disjoint = classes.disjoint, classes.first_disjoint
     else:
-        classes = None
+        classes, space = None, fam.ambient
 
         def disjoint(i, j):
-            return projective_disjoint(pairs[i][0], pairs[j][1])
-    checks = 0
-    violation = None
-    diagonal = ((i, i) for i in range(m))
-    for i, j in itertools.chain(diagonal, itertools.combinations(range(m), 2)):
-        checks += 1
-        if disjoint(i, j) != (i == j):
-            violation = (i + 1, j + 1, DIAGONAL_NONEMPTY if i == j else OFFDIAGONAL_EMPTY)
+            return _projective_disjoint(space, pairs[i][0], pairs[j][1])
+
+        def first_disjoint(i):
+            return next((j for j in range(i + 1, m) if disjoint(i, j)), m)
+    violation, checks = None, m + m * (m - 1) // 2
+    for i in range(m):
+        if not disjoint(i, i):
+            violation, checks = (i + 1, i + 1, DIAGONAL_NONEMPTY), i + 1
             break
+    else:
+        for i in range(m):
+            j = first_disjoint(i)
+            if j < m:
+                # The diagonal, the rows before i, then (i, i+1) .. (i, j).
+                checks = m + i * (m - 1) - i * (i - 1) // 2 + j - i
+                violation = (i + 1, j + 1, OFFDIAGONAL_EMPTY)
+                break
     eliminations = checks if classes is None else classes.solves
     return VerifyReport(violation is None, violation, checks, eliminations)
 
@@ -295,19 +353,29 @@ def _vectors(values, what: str, space: Space) -> list[tuple[int, ...]]:
     return [tuple(v) for v in values]
 
 
-def _affine_member(space: Space, data) -> AffineFlat:
+def _rows(space: Space, values, what: str, spans: dict):
+    """The span of a member's rows, one Subspace per distinct row list of
+    a file.  The key is formed from the checked vectors: 1.0 and True
+    hash equal to 1, so a key of the raw values could skip a check."""
+    rows = tuple(_vectors(_list(values, what), f"{what} row", space))
+    span = spans.get(rows)
+    if span is None:
+        span = spans[rows] = _span(space, rows)
+    return span
+
+
+def _affine_member(space: Space, data, spans: dict) -> AffineFlat:
     data = _object(data, "family member")
-    rows = _vectors(_list(data["dir"], "dir"), "dir row", space)
-    return _flat(_span(space, rows), _vectors([data["rep"]], "rep", space)[0])
+    direction = _rows(space, data["dir"], "dir", spans)
+    return _flat(direction, _vectors([data["rep"]], "rep", space)[0])
 
 
-def _projective_member(space: Space, data) -> ProjectiveSubspace:
+def _projective_member(space: Space, data, spans: dict) -> ProjectiveSubspace:
     data = _object(data, "family member")
-    rows = _vectors(_list(data["lin"], "lin"), "lin row", space)
-    return ProjectiveSubspace(_span(space, rows))
+    return ProjectiveSubspace(_rows(space, data["lin"], "lin", spans))
 
 
-def family_to_dict(fam: FamilyPair) -> dict:
+def _header(fam: FamilyPair) -> dict:
     return {
         "version": FILE_VERSION,
         "kind": fam.kind,
@@ -315,9 +383,13 @@ def family_to_dict(fam: FamilyPair) -> dict:
                   "modulus": list(fam.field.modulus)},
         "n": fam.n,
         "point_order": POINT_ORDER_TAG,
-        "pairs": [{"A": _member_to_dict(fam.kind, a),
-                   "B": _member_to_dict(fam.kind, b)} for a, b in fam.pairs],
     }
+
+
+def family_to_dict(fam: FamilyPair) -> dict:
+    return {**_header(fam),
+            "pairs": [{"A": _member_to_dict(fam.kind, a),
+                       "B": _member_to_dict(fam.kind, b)} for a, b in fam.pairs]}
 
 
 def family_from_dict(data) -> FamilyPair:
@@ -343,16 +415,67 @@ def family_from_dict(data) -> FamilyPair:
             # with its own message.
             space = Space(field, n if kind == AFFINE else n + 1)
             member = _affine_member if kind == AFFINE else _projective_member
+            spans = {}
             for entry in entries:
                 entry = _object(entry, "pair")
-                pairs.append((member(space, entry["A"]), member(space, entry["B"])))
+                pairs.append((member(space, entry["A"], spans),
+                              member(space, entry["B"], spans)))
     except KeyError as exc:
         raise ValueError(f"family file is missing key {exc}") from exc
     return FamilyPair(kind, field, n, tuple(pairs))
 
 
+def _list_template(count: int, item: str, indent: int) -> str:
+    """json.dumps(..., indent=2) of a list of count items, each of which
+    prints as item, with the list's closing bracket at the given indent."""
+    if not count:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n" + ",\n".join([pad + item] * count) + "\n" + " " * indent + "]"
+
+
+def _pair_template(kind: str, length: int, a_rows: int, b_rows: int) -> str:
+    """A pair's text in a file, with one %d per entry of A's rep and rows,
+    then B's: the pairs list sits at indent 2 and every vector of a file
+    has the same length, so the text depends only on the row counts."""
+    vector = _list_template(length, "%d", 10)
+
+    def member(rows):
+        rows = _list_template(rows, vector, 8)
+        if kind == AFFINE:
+            rep = _list_template(length, "%d", 8)
+            return f'{{\n        "rep": {rep},\n        "dir": {rows}\n      }}'
+        return f'{{\n        "lin": {rows}\n      }}'
+
+    return f'    {{\n      "A": {member(a_rows)},\n      "B": {member(b_rows)}\n    }}'
+
+
+def _parts(kind: str, member) -> tuple[tuple[int, ...], tuple]:
+    """(rep, rows) of a member as a file holds them; () for no rep."""
+    if kind == AFFINE:
+        return member.rep, member.direction.basis
+    return (), member.lin.basis
+
+
 def dump_family(fam: FamilyPair) -> str:
-    return json.dumps(family_to_dict(fam), indent=2) + "\n"
+    """The file text: the bytes of json.dumps(family_to_dict(fam),
+    indent=2) plus a newline, with each pair filled into a %d template per
+    pair of row counts rather than passed through the pure-Python
+    encoder."""
+    kind, length = fam.kind, fam.ambient.n
+    templates = {}
+    texts = []
+    for a, b in fam.pairs:
+        (rep_a, rows_a), (rep_b, rows_b) = _parts(kind, a), _parts(kind, b)
+        key = (len(rows_a), len(rows_b))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _pair_template(kind, length, *key)
+        texts.append(template % (*rep_a, *itertools.chain(*rows_a),
+                                 *rep_b, *itertools.chain(*rows_b)))
+    pairs = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    head = json.dumps(_header(fam), indent=2)[:-2]  # all but the closing "\n}"
+    return f'{head},\n  "pairs": {pairs}\n}}\n'
 
 
 def load_family(text: str) -> FamilyPair:

@@ -265,7 +265,12 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
     """U ∩ V = 0 iff rank(U ∪ V) = dim U + dim V, since
     dim(U ∩ V) = dim U + dim V - rank(U ∪ V): the rank is one elimination
     of both bases."""
-    space = _same_space(A.space, B.space)
+    return _projective_disjoint(_same_space(A.space, B.space), A, B)
+
+
+def _projective_disjoint(space: Space, A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
+    """projective_disjoint for two subspaces already known to live in
+    space, as the members of a FamilyPair do."""
     U, V = A.lin, B.lin
     return len(_rref_rows(space.field, U.basis + V.basis, space.n)) == U.dim + V.dim
 

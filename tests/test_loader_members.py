@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossflats.cli import main
 from crossflats.families import (
     AFFINE,
     PROJECTIVE,
@@ -147,3 +148,41 @@ def test_a_bad_dimension_keeps_its_message_with_and_without_pairs(kind, n):
     assert _load_error(_document(kind, field, n, [])) == f"bad dimension {n} for kind {kind}"
     with pytest.raises(ValueError, match="bad dimension"):
         family_from_dict(_document(kind, field, n, []))
+
+
+REPEATED = {"float": (1.0, "must be an integer, got float"),
+            "bool": (True, "must be an integer, got bool"),
+            "out-of-range": (4, "4 is not an element encoding of GF(3)")}
+
+
+@pytest.mark.parametrize("kind", [AFFINE, PROJECTIVE])
+@pytest.mark.parametrize("defect", REPEATED)
+def test_a_repeated_row_list_is_checked_again(kind, defect, tmp_path, capsys):
+    # The loader spans each distinct row list once.  The second copy of a
+    # direction has an entry that hashes equal to the first copy's 1 (or
+    # is out of range), and must still be refused with the message of a
+    # file that holds it alone.
+    field, n = make_field(3), 2
+    key = "dir" if kind == AFFINE else "lin"
+
+    def member(row):
+        return {"rep": [0, 2], "dir": [row]} if kind == AFFINE else {"lin": [row, [0, 0, 1]]}
+
+    good = [1, 2] if kind == AFFINE else [1, 2, 0]
+    first = (member(good), member([0, 1] + good[2:]))
+    fam = load_family(json.dumps(_document(kind, field, n, [first, first])))
+    a, again = fam.pairs[0][0], fam.pairs[1][0]
+    assert (a.direction is again.direction) if kind == AFFINE else (a.lin is again.lin)
+
+    bad = member([REPEATED[defect][0]] + good[1:])
+    doc = _document(kind, field, n, [first, (bad, first[1])])
+    message = REPEATED[defect][1]
+    if defect != "out-of-range":
+        message = f"{key} row entry {message}"
+    assert _load_error(doc) == message
+    alone = _document(kind, field, n, [(bad, first[1])])
+    assert _load_error(alone) == message
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

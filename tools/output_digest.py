@@ -17,6 +17,10 @@ Instances (``--only NAME`` picks some):
 * ``ag-2-2``, ``ag-3-4``, ``ag-4-3``, ``ag-4-5``: the extremal family,
   then verify and certify on it, on a seeded shuffle of it, and with a
   planted diagonal and a planted off-diagonal violation;
+* ``mixed-ag-3-2``: a seeded family of points, lines and planes of
+  AG(3,2) that verifies, and the same family with a planted off-diagonal
+  violation, whose ``eliminations`` depend on which direction pairs are
+  solved before the violation is met;
 * ``search-*``: four exhaustive searches, each writing its witness, which
   is then verified and, when projective, certified.
 
@@ -54,13 +58,14 @@ README = [
     ["points", "--n", "2", "--q", "2"],
 ]
 EXTREMAL = {"ag-2-2": (2, 2), "ag-3-4": (3, 4), "ag-4-3": (4, 3), "ag-4-5": (4, 5)}
+MIXED = {"mixed-ag-3-2": (3, 2)}
 SEARCHES = {
     "search-affine-restricted-2-5": ("affine", True, 2, 5),
     "search-projective-2-3": ("projective", False, 2, 3),
     "search-affine-2-3": ("affine", False, 2, 3),
     "search-projective-2-2": ("projective", False, 2, 2),
 }
-INSTANCES = ["readme", *EXTREMAL, *SEARCHES]
+INSTANCES = ["readme", *EXTREMAL, *MIXED, *SEARCHES]
 
 
 def _checks(path: str) -> list[list[str]]:
@@ -121,6 +126,43 @@ class Digester:
             for argv in _checks(path):
                 self.run(argv)
 
+    def mixed(self, name: str, n: int, q: int):
+        """Grows pairs of disjoint flats of dimension < n, each B meeting
+        every earlier A, then repeats pair i at j > i."""
+        from crossflats.field import make_field
+        from crossflats.geometry import flats_disjoint, make_flat
+        from crossflats.linalg import Space, rref
+
+        built = f"{name}.json"
+        self.run(["construct", "--n", str(n), "--q", str(q), "--out", built])
+        with open(built, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        space = Space(make_field(q), n)
+        rng = random.Random(f"{name} family")
+
+        def flat():
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n))]
+            return make_flat([rng.randrange(q) for _ in range(n)], rref(space, rows))
+
+        flats = [flat() for _ in range(100)]
+        pairs = []
+        for _ in range(3000):
+            a, b = rng.choice(flats), rng.choice(flats)
+            if flats_disjoint(a, b) and not any(flats_disjoint(prev, b) for prev, _ in pairs):
+                pairs.append((a, b))
+                if len(pairs) == 12:
+                    break
+        members = [{"A": {"rep": list(a.rep), "dir": [list(r) for r in a.direction.basis]},
+                    "B": {"rep": list(b.rep), "dir": [list(r) for r in b.direction.basis]}}
+                   for a, b in pairs]
+        i, j = sorted(rng.sample(range(len(pairs)), 2))
+        planted = members[:j] + [members[i]] + members[j + 1:]
+        for suffix, variant in (("grown", members), ("offdiagonal", planted)):
+            path = f"{name}-{suffix}.json"
+            _write(path, {**doc, "pairs": variant})
+            for argv in _checks(path):
+                self.run(argv)
+
     def search(self, name: str, kind: str, restricted: bool, n: int, q: int):
         witness = f"{name}.json"
         argv = ["search", "--kind", kind, "--n", str(n), "--q", str(q),
@@ -159,6 +201,8 @@ def main(argv=None) -> int:
                         digester.run(op)
                 elif name in EXTREMAL:
                     digester.extremal(name, *EXTREMAL[name])
+                elif name in MIXED:
+                    digester.mixed(name, *MIXED[name])
                 else:
                     digester.search(name, *SEARCHES[name])
             for index, source in enumerate(sources):
