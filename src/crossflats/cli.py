@@ -4,11 +4,18 @@ Subcommands: construct, verify, certify, search, hyperplanes, points.
 Exit codes: 0 success, 1 verification/certification failure, 2 usage,
 input or output error (such as a closed stdout), 3 search node budget
 exceeded.
+
+argv is parsed by the invoked subcommand's parser alone, built on first
+use and reused for the rest of the process.  The full parser tree is
+built only for top-level help and for errors that the subcommand parser
+leaves to it (no or an unknown command, leftover arguments), so help and
+usage errors read exactly as the full tree prints them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,38 +251,32 @@ def cmd_points(args) -> int:
     return _emit_vectors(args, field, "points", enumerate_projective_points(args.n, field))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crossflats",
-        description="Cross-intersecting families of affine flats and "
-                    "projective subspaces over finite fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p):
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="output format (default: text)")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default: text)")
 
-    p = sub.add_parser("construct", help="build the extremal affine family")
+def _construct_arguments(p):
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--q", required=True, help="field order, e.g. 4 or 2^2")
     p.add_argument("--lower-bound", action="store_true",
                    help="first half only: t pairs instead of 2t")
     p.add_argument("--out", default=None, help="family file path (default: stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check the cross-intersecting conditions")
+
+def _verify_arguments(p):
     p.add_argument("file", help="family file")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    _add_format(p)
 
-    p = sub.add_parser("certify", help="rank certificate for a projective family")
+
+def _certify_arguments(p):
     p.add_argument("file", help="family file")
     p.add_argument("--emit-matrix", action="store_true",
                    help="include the certificate matrix in the output")
-    add_format(p)
-    p.set_defaults(func=cmd_certify)
+    _add_format(p)
 
-    p = sub.add_parser("search", help="exhaustive maximum-family search")
+
+def _search_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--kind", choices=(AFFINE, PROJECTIVE), required=True)
@@ -285,21 +286,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-candidates", type=non_negative_int,
                    default=DEFAULT_CANDIDATE_CAP)
     p.add_argument("--out", default=None, help="write the witness family file here")
-    add_format(p)
-    p.set_defaults(func=cmd_search)
+    _add_format(p)
 
-    p = sub.add_parser("hyperplanes", help="list the canonical hyperplane normals")
+
+def _listing_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_hyperplanes)
+    _add_format(p)
 
-    p = sub.add_parser("points", help="list the projective point order")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_points)
+
+# name -> (help, command, function that adds its arguments), in help order
+_COMMANDS = {
+    "construct": ("build the extremal affine family", cmd_construct, _construct_arguments),
+    "verify": ("check the cross-intersecting conditions", cmd_verify, _verify_arguments),
+    "certify": ("rank certificate for a projective family", cmd_certify, _certify_arguments),
+    "search": ("exhaustive maximum-family search", cmd_search, _search_arguments),
+    "hyperplanes": ("list the canonical hyperplane normals", cmd_hyperplanes,
+                    _listing_arguments),
+    "points": ("list the projective point order", cmd_points, _listing_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="crossflats",
+        description="Cross-intersecting families of affine flats and "
+                    "projective subspaces over finite fields.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser alone, the same as its subparser in the tree."""
+    parser = argparse.ArgumentParser(prog=f"crossflats {name}")
+    _COMMANDS[name][2](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Everything after a command name goes to that command's parser, as
+    in the full tree; any other argv, and leftover arguments, get the
+    full tree, which prints top-level help and errors itself."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _silence_stdout():
@@ -325,13 +362,12 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse already reported to stderr
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -432,6 +432,77 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+COMMANDS = ["construct", "verify", "certify", "search", "hyperplanes", "points"]
+SEARCH = ["search", "--n", "2", "--q", "2", "--kind", "affine"]
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["--", "verify", "x"],
+    *([command, "-h"] for command in COMMANDS),
+    ["nonsense"], ["nonsense", "--n", "2"],
+    ["construct", "--q", "2"], ["verify"], ["search", "--n", "2", "--q", "2"],
+    ["verify", "x", "--format", "xml"], ["search", "--n", "2", "--q", "2", "--kind", "both"],
+    ["verify", "x", "--form", "json"], ["certify", "x", "--emit", "--format=json"],
+    ["search", "--n", "1", "--q", "2", "--kind", "projective", "--max-c", "5"],
+    ["verify", "x", "--bogus"], ["verify", "x", "y"], ["verify", "x", "-h"],
+    ["verify", "--", "x"], ["construct", "--n", "x", "--q", "2"],
+    ["construct", "--n", "1", "--q", "2", "extra"],
+    [*SEARCH, "--budget", "-1"], [*SEARCH, "--budget=-1"], [*SEARCH, "--budget", "0"],
+    ["points", "--n", "2", "--q", "2", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    """main parses with one command's parser; the reference parses every
+    argv with the full tree.  Help, usage errors and outputs agree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # no file named x
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli_module, "_parse",
+                        lambda argv: cli_module.build_parser().parse_args(argv))
+    assert got == run(capsys, *argv)
+
+
+def test_the_command_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    cli_module._command_parser.cache_clear()
+    witness = str(tmp_path / "witness.json")
+    assert run(capsys, *SEARCH, "--budget", "0")[0] == 3
+    assert run(capsys, *SEARCH)[0] == 0
+    assert run(capsys, "search", "--n", "1", "--q", "2", "--kind", "projective",
+               "--out", witness)[0] == 0
+
+    code, stdout, _ = run(capsys, "certify", witness, "--emit-matrix")
+    assert code == 0 and "matrix:" in stdout
+    code, stdout, _ = run(capsys, "certify", witness)
+    assert code == 0 and "bound_confirmed: true" in stdout and "matrix" not in stdout
+
+    code, stdout, _ = run(capsys, "verify", witness, "--format", "json")
+    assert code == 0 and json.loads(stdout)["ok"] is True
+    code, stdout, _ = run(capsys, "verify", witness)
+    assert code == 0 and stdout.startswith("kind: projective\n")
+
+    info = cli_module._command_parser.cache_info()
+    assert (info.currsize, info.hits) == (3, 4)  # search, certify, verify
+
+
+def test_importing_the_cli_builds_no_parser():
+    counting = ("import argparse, sys\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *args, **kwargs):\n"
+                "    built.append(kwargs.get('prog'))\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import crossflats.cli\n"
+                "print(len(built))\n"
+                "crossflats.cli.main(['points', '--n', '1', '--q', '2'])\n"
+                "print(built)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", counting], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "['crossflats points']")
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

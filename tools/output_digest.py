@@ -14,6 +14,9 @@ is one ``diff``:
 Instances (``--only NAME`` picks some):
 
 * ``readme``: the commands of the README's CLI section;
+* ``usage``: top-level and per-command help, and usage errors (missing,
+  bad, abbreviated and unknown options, leftover arguments), with
+  ``COLUMNS=80`` so help wraps the same on every terminal;
 * ``ag-2-2``, ``ag-3-4``, ``ag-4-3``, ``ag-4-5``: the extremal family,
   then verify and certify on it, on a seeded shuffle of it, and with a
   planted diagonal and a planted off-diagonal violation;
@@ -44,6 +47,7 @@ import re
 import shutil
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,6 +61,17 @@ README = [
     ["hyperplanes", "--n", "3", "--q", "2"],
     ["points", "--n", "2", "--q", "2"],
 ]
+USAGE = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["--", "verify", "x"],
+    *([command, "-h"] for command in
+      ("construct", "verify", "certify", "search", "hyperplanes", "points")),
+    ["nonsense"], ["construct", "--q", "2"], ["verify"], ["search", "--n", "2", "--q", "2"],
+    ["verify", "x", "--format", "xml"], ["search", "--n", "2", "--q", "2", "--kind", "both"],
+    ["verify", "x", "--form", "json"],
+    ["search", "--n", "1", "--q", "2", "--kind", "projective", "--max-c", "5"],
+    ["verify", "x", "--bogus"], ["verify", "x", "y"], ["construct", "--n", "x", "--q", "2"],
+    ["search", "--n", "2", "--q", "2", "--kind", "affine", "--budget", "-1"],
+]
 EXTREMAL = {"ag-2-2": (2, 2), "ag-3-4": (3, 4), "ag-4-3": (4, 3), "ag-4-5": (4, 5)}
 MIXED = {"mixed-ag-3-2": (3, 2)}
 SEARCHES = {
@@ -65,7 +80,7 @@ SEARCHES = {
     "search-affine-2-3": ("affine", False, 2, 3),
     "search-projective-2-2": ("projective", False, 2, 2),
 }
-INSTANCES = ["readme", *EXTREMAL, *MIXED, *SEARCHES]
+INSTANCES = ["readme", "usage", *EXTREMAL, *MIXED, *SEARCHES]
 
 
 def _checks(path: str) -> list[list[str]]:
@@ -199,6 +214,10 @@ def main(argv=None) -> int:
                 if name == "readme":
                     for op in README:
                         digester.run(op)
+                elif name == "usage":
+                    with mock.patch.dict(os.environ, COLUMNS="80"):
+                        for op in USAGE:
+                            digester.run(op)
                 elif name in EXTREMAL:
                     digester.extremal(name, *EXTREMAL[name])
                 elif name in MIXED:
