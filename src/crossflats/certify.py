@@ -22,16 +22,14 @@ family, once per certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .families import PROJECTIVE, FamilyPair, FamilyViolation, verify_cross_intersecting
-from .field import Field
+from .field import Field, _Value
 from .geometry import PointMasks, enumerate_projective_points
 from .linalg import Space, rref
 
 
-@dataclass(frozen=True)
-class CertificateMatrix:
+class CertificateMatrix(_Value):
     """(m+2) x (t+1) coefficient matrix over GF(p)."""
 
     p: int
@@ -40,8 +38,7 @@ class CertificateMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(_Value):
     """independent means rank == m + 2; evaluation_table_ok means the
     integer identities behind the forms hold.  bound_confirmed is their
     conjunction: the certificate proves m <= t - 1 only when both hold

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .certify import build_certificate, certificate_report
 from .families import (
@@ -173,7 +172,7 @@ def cmd_certify(args) -> int:
         print(f"family does not verify: ({i}, {j}) {reason}", file=sys.stderr)
         return EXIT_FAILED
     report = certificate_report(fam, mat)
-    payload = asdict(report)
+    payload = {name: getattr(report, name) for name in report._fields}
     lines = [
         f"m: {report.m}",
         f"t: {report.t}",

@@ -30,9 +30,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from dataclasses import dataclass
 
-from .field import Field
+from .field import Field, _Value
 from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
@@ -53,8 +52,7 @@ FILE_VERSION = 1
 POINT_ORDER_TAG = "lex-first-nonzero-1"
 
 
-@dataclass(frozen=True)
-class FamilyPair:
+class FamilyPair(_Value):
     """Ordered pairs over a common ambient space.
 
     For kind "affine" the members live in F_q^n; for kind "projective"
@@ -95,8 +93,7 @@ class FamilyPair:
         return Space(self.field, dim)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Value):
     """ok, or the first violation as 1-based (i, j, reason).
 
     pair_checks counts the member pairs decided, the violating one

@@ -25,7 +25,7 @@ elements already validated at the boundary.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 
 # Desk-scale combinatorics only; anything larger is a caller mistake.
 MAX_ORDER = 1 << 16
@@ -334,8 +334,72 @@ def arithmetic(p: int, k: int) -> Arithmetic:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Field:
+class _Value:
+    """Base of the immutable value classes: ``@dataclass(frozen=True)``
+    semantics without importing ``dataclasses`` or compiling code per class.
+    A subclass's own annotations, in order, are its fields; class attributes
+    of their names are defaults.  Equality (same class only), hash and repr
+    read the fields alone, not attributes kept beside them.  The fields are
+    read from the class ``__dict__``, where a module with ``from __future__
+    import annotations`` keeps them on every Python version; a subclass must
+    live in such a module."""
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        names = cls._fields = cls.__match_args__ = tuple(own.get("__annotations__", ()))
+        if not names:
+            raise TypeError(f"{cls.__qualname__} has no annotated fields in its __dict__; "
+                            "is its module missing 'from __future__ import annotations'?")
+        required = max((i + 1 for i, name in enumerate(names) if name not in own), default=0)
+        cls._defaults = tuple(own[name] for name in names[required:])
+        get = operator.attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        set_field = object.__setattr__  # self.__dict__ would give each instance a dict
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> tuple:
+        """Field values of a call with keywords or trailing defaults, or TypeError."""
+        fields, defaults = self._fields, self._defaults
+        missing = len(fields) - len(args)
+        if not kwargs and 0 < missing <= len(defaults):
+            return args + defaults[len(defaults) - missing:]
+        values = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        values.update(zip(fields, args), **kwargs)
+        if (missing < 0 or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}, got "
+                            f"{len(args)} positional arguments and keywords {list(kwargs)}")
+        return tuple(values[name] for name in fields)
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Field(_Value):
     """GF(p^k) acting on integer-encoded elements.
 
     ``modulus`` holds the k+1 ascending coefficients of the canonical

@@ -17,10 +17,9 @@ solve per distinct pair of directions, not one per pair of flats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .field import MAX_ORDER, Field, exceeds_max_order
+from .field import MAX_ORDER, Field, _Value, exceeds_max_order
 from .linalg import (
     Space,
     Subspace,
@@ -39,8 +38,7 @@ from .linalg import (
 # ---------------------------------------------------------------------------
 # Affine flats.
 
-@dataclass(frozen=True)
-class AffineFlat:
+class AffineFlat(_Value):
     """The coset rep + direction, with rep reduced against the direction's
     pivots so that equal cosets are value-identical.
 
@@ -226,8 +224,7 @@ def gaussian_point_count(lin_dim: int, field: Field) -> int:
     return (field.q ** lin_dim - 1) // (field.q - 1)
 
 
-@dataclass(frozen=True)
-class ProjectiveSubspace:
+class ProjectiveSubspace(_Value):
     """Projective subspace of PG(n, q) carried by a linear subspace of
     F_q^(n+1); proj_dim -1 denotes the empty subspace."""
 

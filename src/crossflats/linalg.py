@@ -19,13 +19,11 @@ intersection is the annihilator of a sum: there is no separate solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .field import Field
+from .field import Field, _Value
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(_Value):
     """Ambient coordinate space: n-tuples over a finite field."""
 
     field: Field
@@ -114,8 +112,7 @@ def _rref_rows(field: Field, rows, width: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in mat[:rank]]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Value):
     """A linear subspace held as its canonical RREF row basis.
 
     The zero subspace has an empty basis.  Construction validates the
@@ -140,20 +137,22 @@ class Subspace:
             for j, p in enumerate(pivots):
                 if i != j and row[p] != 0:
                     raise ValueError("pivot column is not cleared")
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(_pivot(r) for r in self.basis)
+        return self._pivots
 
 
 def _trusted_subspace(space: Space, basis) -> Subspace:
     """A Subspace from rows already in RREF (kernel output), unvalidated."""
-    sub = object.__new__(Subspace)
+    sub, basis = object.__new__(Subspace), tuple(basis)
     object.__setattr__(sub, "space", space)
-    object.__setattr__(sub, "basis", tuple(basis))
+    object.__setattr__(sub, "basis", basis)
+    object.__setattr__(sub, "_pivots", tuple(map(_pivot, basis)))
     return sub
 
 
@@ -187,8 +186,8 @@ def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
 def _reduced(U: Subspace, r) -> tuple[int, ...]:
     """reduce_mod_basis for a vector already checked."""
     sub_scaled = U.space.field.unchecked.sub_scaled
-    for row in U.basis:
-        c = r[_pivot(row)]
+    for p, row in zip(U._pivots, U.basis):
+        c = r[p]
         if c:
             r = sub_scaled(r, c, row)
     return tuple(r)
@@ -201,8 +200,7 @@ def contains(U: Subspace, v) -> bool:
 def annihilator(U: Subspace) -> Subspace:
     """Canonical basis of {x : u . x = 0 for every u in U}, read off U's
     RREF basis: one vector per non-pivot column."""
-    space, reduced = U.space, U.basis
-    pivots = U.pivot_columns()
+    space, reduced, pivots = U.space, U.basis, U._pivots
     neg = space.field.unchecked.neg
     basis = []
     for free in range(space.n):
@@ -224,8 +222,7 @@ def null_space(space: Space, rows) -> Subspace:
 # ---------------------------------------------------------------------------
 # Hyperplanes.
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Value):
     """Kernel of a nonzero functional, canonicalized so the normal's
     first nonzero coordinate is 1."""
 

@@ -62,10 +62,9 @@ Sequential runs are fully reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .field import Field
+from .field import Field, _Value
 from .geometry import (
     PointMasks,
     ProjectiveSubspace,
@@ -91,8 +90,7 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(_Value):
     """A disjoint ordered pair with the point masks of its members."""
 
     id: int
@@ -102,8 +100,7 @@ class CandidatePair:
     B_mask: int
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Value):
     max_size: int
     witness: tuple[int, ...]
     nodes_explored: int

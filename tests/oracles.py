@@ -1,10 +1,14 @@
 """Brute-force oracles the tests check the library against.
 
-Everything here works by exhaustive point enumeration, deliberately
-avoiding the elimination-based code paths under test.
+The geometric oracles work by exhaustive point enumeration, deliberately
+avoiding the elimination-based code paths under test; dataclass_twin is
+the reference for the value classes' semantics.
 """
 
+import dataclasses
+import functools
 import itertools
+import types
 
 from crossflats.geometry import AffineFlat
 
@@ -106,3 +110,18 @@ def reference_max_family(candidates):
 
     size, seq = best(frozenset(range(k)))
     return size, tuple(candidates[i].id for i in seq)
+
+
+def dataclass_twin(cls):
+    """A dataclasses.dataclass(frozen=True) class with the name, fields,
+    defaults, __post_init__ and other methods of the value class cls: what
+    cls's value semantics stand in for."""
+    own = vars(cls)
+    methods = (types.FunctionType, property, functools.cached_property)
+    namespace = {key: value for key, value in own.items()
+                 if key in ("__doc__", "__post_init__")
+                 or (not key.startswith("__") and key not in cls.__match_args__
+                     and isinstance(value, methods))}
+    fields = [(name, object, dataclasses.field(default=own[name])) if name in own
+              else (name, object) for name in cls.__match_args__]
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)

@@ -503,6 +503,21 @@ def test_importing_the_cli_builds_no_parser():
     assert (lines[0], lines[-1]) == ("0", "['crossflats points']")
 
 
+def test_importing_the_cli_leaves_out_the_code_generation_modules():
+    """The value classes need no dataclasses, and so none of the modules it
+    pulls in for generating and inspecting code."""
+    recording = ("import json, sys\n"
+                 "before = set(sys.modules)\n"
+                 "import crossflats, crossflats.cli\n"
+                 "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", recording], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    imported = json.loads(done.stdout)
+    assert "crossflats.cli" in imported
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(imported)
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
