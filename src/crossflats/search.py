@@ -8,18 +8,25 @@ the search is over ordered sequences, not subsets.
 Each member carries its point mask (geometry.PointMasks): an integer
 with one bit per point of the ambient space, so "A meets B" is a single
 AND.  The size of an instance is bounded in closed form against the
-candidate cap before anything is enumerated.  The compatibility graph
-is built on the distinct masks, which candidates share: succ[i] (the
-candidates that may follow i) is the union of the positions whose B mask
-meets A_i's, and pred[i] (those that may precede i) of those whose A
-mask meets B_i's, each distinct pair of masks ANDed once per direction.
+candidate cap before anything is enumerated.
 
-Co-components.  Call i and j linked unless each may follow the other
-(j in succ[i] and j in pred[i]); the blocks are the connected components
-of this relation, found by a bitset BFS.  Restricted instances split by
-hyperplane direction (cosets of distinct hyperplanes always meet), while
-unrestricted and projective instances are usually one block.  Each block
-is searched on its own and the results combine exactly:
+Co-components.  Call positions i and j linked unless each may follow the
+other, i.e. when A_i ∩ B_j = ∅ or A_j ∩ B_i = ∅; the blocks are the
+connected components of this relation.  They are found on member
+classes: one node per distinct A mask and one per distinct B mask, a and
+b joined when a & b == 0, each A class ANDed once with each B class.
+Positions i and j lie in one block iff A_i and A_j are connected:
+
+- a link gives the class path A_i – B_j – A_j (or A_j – B_i – A_i),
+  because every candidate has A ∩ B = ∅;
+- conversely, every class edge a – b is a link between a position of a
+  and a position of b;
+- positions that share an A mask, or share a B mask, are linked.
+
+Restricted instances split by hyperplane direction (cosets of distinct
+hyperplanes always meet), while unrestricted and projective instances
+are usually one block.  Each block is searched on its own and the
+results combine exactly:
 
 1. Every pair from two different blocks is compatible both ways, so any
    interleaving of valid block sequences is valid, and any valid
@@ -181,50 +188,6 @@ def candidates_projective(n: int, field: Field,
     return _disjoint_pairs([members], masks, max_candidates)
 
 
-def _meeting(mask: int, positions_by_mask: dict[int, int]) -> int:
-    """OR of the position sets of the distinct masks that meet mask."""
-    out = 0
-    for other, positions in positions_by_mask.items():
-        if mask & other:
-            out |= positions
-    return out
-
-
-def _compatibility(candidates: list[CandidatePair]) -> tuple[list[int], list[int]]:
-    """(succ, pred): succ[i] holds the j with A_i meeting B_j, pred[i] the j
-    with A_j meeting B_i, as bitsets over positions, i itself excluded."""
-    a_at: dict[int, int] = {}  # distinct mask -> the positions carrying it
-    b_at: dict[int, int] = {}
-    for i, c in enumerate(candidates):
-        a_at[c.A_mask] = a_at.get(c.A_mask, 0) | 1 << i
-        b_at[c.B_mask] = b_at.get(c.B_mask, 0) | 1 << i
-    succ_of = {a: _meeting(a, b_at) for a in a_at}
-    pred_of = {b: _meeting(b, a_at) for b in b_at}
-    succ = [succ_of[c.A_mask] & ~(1 << i) for i, c in enumerate(candidates)]
-    pred = [pred_of[c.B_mask] & ~(1 << i) for i, c in enumerate(candidates)]
-    return succ, pred
-
-
-def _co_components(succ: list[int], pred: list[int]) -> list[int]:
-    """Blocks of positions, as bitsets ordered by their smallest member:
-    components of "i, j linked unless each may follow the other"."""
-    blocks = []
-    left = (1 << len(succ)) - 1
-    while left:
-        frontier = block = left & -left
-        left ^= block
-        while frontier:
-            v = frontier & -frontier
-            frontier ^= v
-            i = v.bit_length() - 1
-            reached = left & ~(succ[i] & pred[i])
-            left ^= reached
-            block |= reached
-            frontier |= reached
-        blocks.append(block)
-    return blocks
-
-
 def _merge_by_head(seqs: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Interleave sequences with distinct entries, always taking the
     smallest head: the lexicographically smallest interleaving."""
@@ -239,36 +202,55 @@ def _merge_by_head(seqs: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(merged)
 
 
-def _block_classes(candidates: list[CandidatePair], succ: list[int], block: int):
-    """One block on its distinct masks.  The B classes (distinct B masks)
-    are numbered in order of first position, and each is one bit of a
-    state.  Returns the block's positions in ascending order as
-    (position, its B class bit, meets of its A mask); one (partners, meets)
-    per distinct A mask, where partners holds the B classes it is paired
-    with and meets those whose mask meets it; and the full state."""
-    b_class: dict[int, tuple[int, int]] = {}  # B mask -> (bit, first position)
-    a_first: dict[int, int] = {}  # A mask -> first position
-    order = []
-    rest = block
-    while rest:  # the block's own bits, in ascending order
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        order.append(i)
-        b_class.setdefault(candidates[i].B_mask, (1 << len(b_class), i))
-        a_first.setdefault(candidates[i].A_mask, i)
-    # succ[i] holds the positions of every B mask that meets A_i.
-    meets = {a: sum(bit for bit, r in b_class.values() if succ[i] >> r & 1)
-             for a, i in a_first.items()}
-    partners = dict.fromkeys(a_first, 0)
-    steps = []
-    for i in order:
-        c = candidates[i]
-        bit = b_class[c.B_mask][0]
-        partners[c.A_mask] |= bit
-        steps.append((i, bit, meets[c.A_mask]))
-    classes = [(partners[a], meets[a]) for a in a_first]
-    return steps, classes, (1 << len(b_class)) - 1
+def _blocks(candidates: list[CandidatePair]):
+    """The co-component blocks on member classes (see the module
+    docstring), ordered by first position.  Classes are numbered by first
+    position, and a block's B classes are each one bit of its states.  Per
+    block: its positions in ascending order as (position, its B class bit,
+    meets of its A mask); one [partners, meets] per A class, where partners
+    holds the B classes it is paired with and meets those whose mask meets
+    it; and the full state."""
+    a_class: dict[int, int] = {}  # distinct mask -> its number
+    b_class: dict[int, int] = {}
+    for c in candidates:
+        a_class.setdefault(c.A_mask, len(a_class))
+        b_class.setdefault(c.B_mask, len(b_class))
+    # Union-find on the class graph: A class k is node k, B class k is
+    # node len(a_class) + k, and an edge joins an A and a B that miss.
+    parent = list(range(len(a_class) + len(b_class)))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    misses = []  # per A class, the B classes whose masks miss it
+    for k, a in enumerate(a_class):
+        misses.append([j for j, b in enumerate(b_class) if not a & b])
+        for j in misses[k]:
+            parent[root(len(a_class) + j)] = root(k)
+    positions: dict[int, list[int]] = {}  # block root -> its positions
+    for i, c in enumerate(candidates):
+        positions.setdefault(root(a_class[c.A_mask]), []).append(i)
+    blocks = []
+    for block in positions.values():
+        bit: dict[int, int] = {}  # B class -> its bit in the block's states
+        for i in block:
+            bit.setdefault(b_class[candidates[i].B_mask], 1 << len(bit))
+        full = (1 << len(bit)) - 1
+        # Every B class that misses an A class lies in its block.
+        classes: dict[int, list[int]] = {}  # A class -> [partners, meets]
+        steps = []
+        for i in block:
+            k = a_class[candidates[i].A_mask]
+            b = bit[b_class[candidates[i].B_mask]]
+            if k not in classes:
+                classes[k] = [0, full & ~sum(bit[j] for j in misses[k])]
+            classes[k][0] |= b
+            steps.append((i, b, classes[k][1]))
+        blocks.append((steps, list(classes.values()), full))
+    return blocks
 
 
 def max_family(candidates: list[CandidatePair], limit: int | None = None,
@@ -285,7 +267,6 @@ def max_family(candidates: list[CandidatePair], limit: int | None = None,
     for c in candidates:
         if c.A_mask & c.B_mask:
             raise ValueError(f"candidate {c.id} has members that meet")
-    succ, pred = _compatibility(candidates)
     nodes = states = 0
 
     def visit(count: int):
@@ -295,9 +276,8 @@ def max_family(candidates: list[CandidatePair], limit: int | None = None,
             raise BudgetExceeded(limit)
 
     seqs = []
-    blocks = _co_components(succ, pred)
-    for block in blocks:
-        steps, classes, state = _block_classes(candidates, succ, block)
+    blocks = _blocks(candidates)
+    for steps, classes, state in blocks:
         memo: dict[int, int] = {}
 
         def value(feasible: int) -> int:

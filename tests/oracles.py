@@ -112,6 +112,24 @@ def reference_max_family(candidates):
     return size, tuple(candidates[i].id for i in seq)
 
 
+def reference_blocks(candidates):
+    """The positions grouped into components of "linked", as sorted tuples
+    ordered by their smallest position: i and j are linked unless each may
+    follow the other, as members_meet decides on the raw point sets."""
+    k = len(candidates)
+    meets = [[members_meet(candidates[i].A, candidates[j].B) for j in range(k)]
+             for i in range(k)]
+    blocks, left = [], list(range(k))
+    while left:
+        block = [left.pop(0)]
+        for i in block:  # the loop reaches what it appends
+            linked = [j for j in left if not (meets[i][j] and meets[j][i])]
+            block += linked
+            left = [j for j in left if j not in linked]
+        blocks.append(tuple(sorted(block)))
+    return blocks
+
+
 def dataclass_twin(cls):
     """A dataclasses.dataclass(frozen=True) class with the name, fields,
     defaults, __post_init__ and other methods of the value class cls: what

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from oracles import (
     member_points,
     members_meet,
     naive_max_family,
+    reference_blocks,
     reference_max_family,
     span_points,
     translate,
@@ -340,31 +342,56 @@ def test_decomposed_search_matches_the_reference_dp(name, data):
     assert (report.max_size, report.witness) == reference_max_family(subset)
 
 
-def _pairwise_digraph(cands):
-    """(succ, pred) from compatible() on every ordered pair of positions."""
-    at = range(len(cands))
-    succ = [sum(1 << j for j in at if j != i and compatible(cands[i], cands[j])) for i in at]
-    pred = [sum(1 << j for j in at if j != i and compatible(cands[j], cands[i])) for i in at]
-    return succ, pred
+def _assert_blocks(cands):
+    """search._blocks against reference_blocks, and within each block
+    whether A_i meets B_j, read off i's meets and j's B class bit, against
+    compatible(); partners and the full state from the steps."""
+    blocks = search._blocks(cands)
+    assert [tuple(i for i, _, _ in steps) for steps, _, _ in blocks] == reference_blocks(cands)
+    for steps, classes, state in blocks:
+        assert len({bit for _, bit, _ in steps}) == len({cands[i].B_mask for i, _, _ in steps})
+        assert state == sum({bit for _, bit, _ in steps})
+        for i, _, meets in steps:
+            for j, bit, _ in steps:
+                assert bool(meets & bit) == compatible(cands[i], cands[j])
+        expected = {}  # A mask -> (partners, meets), in order of first position
+        for i, bit, meets in steps:
+            partners, _ = expected.get(cands[i].A_mask, (0, meets))
+            expected[cands[i].A_mask] = (partners | bit, meets)
+        assert [tuple(c) for c in classes] == list(expected.values())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(POOLS), data=st.data())
-def test_compatibility_graph_matches_the_pairwise_test(name, data):
+def test_class_blocks_match_the_linked_components(name, data):
     pool = _pool(name)
     positions = data.draw(st.permutations(range(len(pool))))
-    subset = [pool[i] for i in positions[:data.draw(st.integers(0, len(pool)))]]
-    assert search._compatibility(subset) == _pairwise_digraph(subset)
+    _assert_blocks([pool[i] for i in positions[:data.draw(st.integers(0, len(pool)))]])
 
 
-def test_compatibility_graph_of_whole_pools_and_edge_cases():
+def test_class_blocks_of_whole_pools_and_edge_cases():
     for name in POOLS:
-        pool = _pool(name)
-        assert search._compatibility(pool) == _pairwise_digraph(pool)
-    assert search._compatibility([]) == ([], [])
-    # A caller-built pair whose members meet is never its own successor.
-    meets = CandidatePair(0, None, None, 0b11, 0b01)
-    assert search._compatibility([meets, meets]) == ([0b10, 0b01], [0b10, 0b01])
+        _assert_blocks(_pool(name))
+    assert search._blocks([]) == []
+    singles = candidates_affine(2, GF2, restricted=True)
+    assert [[i for i, _, _ in steps] for steps, _, _ in search._blocks(singles)] == \
+        [[i] for i in range(6)]
+    (steps, _, _), = search._blocks(_pool("PG(1,3)"))
+    assert [i for i, _, _ in steps] == list(range(12))
+
+
+def test_search_memory_at_pg_2_7():
+    # The graph phase holds no bitset over the positions: one list of N
+    # bitsets of N bits each would take about 10 MB here.
+    cands = candidates_projective(2, make_field(7), 30000)
+    assert len(cands) == 8778
+    tracemalloc.start()
+    try:
+        max_family(cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10 ** 6
 
 
 def test_blocks_and_node_counts():

@@ -24,8 +24,10 @@ Instances (``--only NAME`` picks some):
   AG(3,2) that verifies, and the same family with a planted off-diagonal
   violation, whose ``eliminations`` depend on which direction pairs are
   solved before the violation is met;
-* ``search-*``: four exhaustive searches, each writing its witness, which
-  is then verified and, when projective, certified.
+* ``search-*``: seven exhaustive searches, each writing its witness, which
+  is then verified and, when projective, certified.  Among them are
+  restricted AG(3,3) (13 co-component blocks), unrestricted AG(2,4) (an
+  extension field) and PG(3,2) (1,850 candidates in one block).
 
 Family files given as arguments are verified (text and JSON) and
 certified as well.  ``--mask KEY`` drops every output line that starts
@@ -79,6 +81,9 @@ SEARCHES = {
     "search-projective-2-3": ("projective", False, 2, 3),
     "search-affine-2-3": ("affine", False, 2, 3),
     "search-projective-2-2": ("projective", False, 2, 2),
+    "search-affine-restricted-3-3": ("affine", True, 3, 3),
+    "search-affine-2-4": ("affine", False, 2, 4),
+    "search-projective-3-2": ("projective", False, 3, 2),
 }
 INSTANCES = ["readme", "usage", *EXTREMAL, *MIXED, *SEARCHES]
 
