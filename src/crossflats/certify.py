@@ -22,6 +22,7 @@ family, once per certificate.
 
 from __future__ import annotations
 
+import functools
 
 from .families import PROJECTIVE, FamilyPair, FamilyViolation, verify_cross_intersecting
 from .field import Field, _Value
@@ -57,14 +58,17 @@ class CertificateReport(_Value):
     q2_bound: int | None = None
 
 
-def _incidence_masks(fam: FamilyPair) -> tuple[int, list[int], list[int]]:
-    """t and the A-side and B-side point masks of a projective family."""
+@functools.lru_cache(maxsize=1)
+def _incidence_masks(fam: FamilyPair) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """t and the A-side and B-side point masks of a projective family.
+    The last family's are kept: a certify command builds its matrix and
+    then checks its identities on one family, and builds its masks once."""
     if fam.kind != PROJECTIVE:
         raise ValueError("certificates apply to projective families")
     points = enumerate_projective_points(fam.n, fam.field)
     masks = PointMasks(fam.ambient, points)
-    return (len(points), [masks(a) for a, _ in fam.pairs],
-            [masks(b) for _, b in fam.pairs])
+    return (len(points), tuple(masks(a) for a, _ in fam.pairs),
+            tuple(masks(b) for _, b in fam.pairs))
 
 
 def _rows(p: int, t: int, a_masks) -> tuple[tuple[int, ...], ...]:

@@ -21,13 +21,15 @@ The file loader checks each vector of a file once, at the boundary: a
 list of n entries (n + 1 in a projective file) of type int in [0, q).
 It then builds the members from trusted parts, without the checks of the
 public constructors, and spans each distinct row list once.  The
-writer fills a %d template per shape of pair with the entries, and
-writes the bytes that json.dumps(..., indent=2) would.
+writer fills a %d template per shape of pair with the entries; each
+template is json.dumps(..., indent=2) of a zero-filled pair of that
+shape, rendered once, so the file holds the encoder's own bytes.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 
@@ -58,6 +60,10 @@ class FamilyPair(_Value):
     For kind "affine" the members live in F_q^n; for kind "projective"
     they live in PG(n, q), i.e. the linear space F_q^(n+1).  Members must
     be nonempty (a projective member needs proj_dim >= 0).
+
+    ``ambient`` is that space, kept beside the fields: the members' own
+    instance from the first member on, so members built on one Space (as
+    loaded, constructed and searched ones are) are checked by identity.
     """
 
     kind: str
@@ -73,24 +79,21 @@ class FamilyPair(_Value):
             raise ValueError(f"bad dimension {self.n} for kind {self.kind}")
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         member_type = AffineFlat if self.kind == AFFINE else ProjectiveSubspace
-        ambient = self.ambient
+        ambient = Space(self.field, self.n if self.kind == AFFINE else self.n + 1)
         for a, b in self.pairs:
             for member in (a, b):
                 if not isinstance(member, member_type):
                     raise ValueError(f"{self.kind} family holds a {type(member).__name__}")
                 if member.space != ambient:
                     raise ValueError("family member from wrong ambient space")
+                ambient = member.space
                 if self.kind == PROJECTIVE and member.is_empty():
                     raise ValueError("projective family members must be nonempty")
+        object.__setattr__(self, "ambient", ambient)
 
     @property
     def m(self) -> int:
         return len(self.pairs)
-
-    @property
-    def ambient(self) -> Space:
-        dim = self.n if self.kind == AFFINE else self.n + 1
-        return Space(self.field, dim)
 
 
 class VerifyReport(_Value):
@@ -301,11 +304,17 @@ def check_affine_bound(fam: FamilyPair) -> bool:
 # Family file format (canonical JSON, deterministic key order):
 # {version, kind, field: {p, k, modulus}, n, point_order, pairs: [{A, B}]}
 
-def _member_to_dict(kind: str, member) -> dict:
+def _parts(kind: str, member) -> tuple[tuple[int, ...], tuple]:
+    """(rep, rows) of a member as a file holds them; () for no rep."""
     if kind == AFFINE:
-        return {"rep": list(member.rep),
-                "dir": [list(r) for r in member.direction.basis]}
-    return {"lin": [list(r) for r in member.lin.basis]}
+        return member.rep, member.direction.basis
+    return (), member.lin.basis
+
+
+def _member_dict(kind: str, rep, rows) -> dict:
+    """A member's object in a file, from its (rep, rows)."""
+    rows = [list(r) for r in rows]
+    return {"rep": list(rep), "dir": rows} if kind == AFFINE else {"lin": rows}
 
 
 def _int(value, what: str) -> int:
@@ -384,9 +393,10 @@ def _header(fam: FamilyPair) -> dict:
 
 
 def family_to_dict(fam: FamilyPair) -> dict:
+    kind = fam.kind
     return {**_header(fam),
-            "pairs": [{"A": _member_to_dict(fam.kind, a),
-                       "B": _member_to_dict(fam.kind, b)} for a, b in fam.pairs]}
+            "pairs": [{"A": _member_dict(kind, *_parts(kind, a)),
+                       "B": _member_dict(kind, *_parts(kind, b))} for a, b in fam.pairs]}
 
 
 def family_from_dict(data) -> FamilyPair:
@@ -422,52 +432,31 @@ def family_from_dict(data) -> FamilyPair:
     return FamilyPair(kind, field, n, tuple(pairs))
 
 
-def _list_template(count: int, item: str, indent: int) -> str:
-    """json.dumps(..., indent=2) of a list of count items, each of which
-    prints as item, with the list's closing bracket at the given indent."""
-    if not count:
-        return "[]"
-    pad = " " * (indent + 2)
-    return "[\n" + ",\n".join([pad + item] * count) + "\n" + " " * indent + "]"
-
-
+@functools.cache
 def _pair_template(kind: str, length: int, a_rows: int, b_rows: int) -> str:
     """A pair's text in a file, with one %d per entry of A's rep and rows,
-    then B's: the pairs list sits at indent 2 and every vector of a file
-    has the same length, so the text depends only on the row counts."""
-    vector = _list_template(length, "%d", 10)
-
-    def member(rows):
-        rows = _list_template(rows, vector, 8)
-        if kind == AFFINE:
-            rep = _list_template(length, "%d", 8)
-            return f'{{\n        "rep": {rep},\n        "dir": {rows}\n      }}'
-        return f'{{\n        "lin": {rows}\n      }}'
-
-    return f'    {{\n      "A": {member(a_rows)},\n      "B": {member(b_rows)}\n    }}'
-
-
-def _parts(kind: str, member) -> tuple[tuple[int, ...], tuple]:
-    """(rep, rows) of a member as a file holds them; () for no rep."""
-    if kind == AFFINE:
-        return member.rep, member.direction.basis
-    return (), member.lin.basis
+    then B's: json.dumps(..., indent=2) of the pair with every entry 0,
+    each line indented 4 spaces to the pairs list (the encoder indents
+    by nesting depth), then each 0 made a %d.  No key contains a 0 and
+    no text a %, so only the entries change.  Every vector of a file has
+    the same length, so the text depends only on the row counts."""
+    zero = (0,) * length
+    pair = {"A": _member_dict(kind, zero, [zero] * a_rows),
+            "B": _member_dict(kind, zero, [zero] * b_rows)}
+    text = json.dumps(pair, indent=2).replace("\n", "\n    ")
+    return "    " + text.replace("0", "%d")
 
 
 def dump_family(fam: FamilyPair) -> str:
     """The file text: the bytes of json.dumps(family_to_dict(fam),
-    indent=2) plus a newline, with each pair filled into a %d template per
-    pair of row counts rather than passed through the pure-Python
-    encoder."""
+    indent=2) plus a newline.  Each pair fills the template of its shape,
+    which json.dumps renders once per shape (_pair_template), so the
+    entries skip the pure-Python encoder."""
     kind, length = fam.kind, fam.ambient.n
-    templates = {}
     texts = []
     for a, b in fam.pairs:
         (rep_a, rows_a), (rep_b, rows_b) = _parts(kind, a), _parts(kind, b)
-        key = (len(rows_a), len(rows_b))
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _pair_template(kind, length, *key)
+        template = _pair_template(kind, length, len(rows_a), len(rows_b))
         texts.append(template % (*rep_a, *itertools.chain(*rows_a),
                                  *rep_b, *itertools.chain(*rows_b)))
     pairs = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"

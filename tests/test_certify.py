@@ -96,6 +96,24 @@ def test_bound_confirmed_requires_the_evaluation_table(monkeypatch, tmp_path, ca
     assert "bound_confirmed: false" in capsys.readouterr().out
 
 
+def test_one_certify_command_builds_one_point_masks(monkeypatch, tmp_path):
+    """build_certificate and certificate_report share one command's
+    incidence masks: the points of PG(n, q) are enumerated once."""
+    built = []
+
+    class CountedMasks(certify.PointMasks):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(certify, "PointMasks", CountedMasks)
+    certify._incidence_masks.cache_clear()
+    path = tmp_path / "fam.json"
+    path.write_text(dump_family(pg12_two_pairs()))
+    assert main(["certify", str(path)]) == 0
+    assert len(built) == 1
+
+
 def test_empty_family_certificate():
     fam = FamilyPair(PROJECTIVE, GF2, 1, ())
     mat = build_certificate(fam)

@@ -24,7 +24,7 @@ from crossflats.families import (
 from crossflats.field import make_field
 from crossflats.geometry import enumerate_flats, make_flat, make_projective_subspace
 from crossflats.linalg import Space, rref
-from crossflats.search import candidates_affine, compatible
+from crossflats.search import candidates_affine, candidates_projective, compatible, max_family
 from oracles import members_meet, naive_verify
 
 GF2 = make_field(2)
@@ -284,6 +284,24 @@ def test_round_trip_affine_and_projective():
     p2 = make_projective_subspace(1, GF2, [(0, 1)])
     proj = FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p2, p1)))
     assert load_family(dump_family(proj)) == proj
+
+
+def test_members_share_the_family_ambient_space():
+    """Constructed, searched and loaded families build every member on
+    one Space instance, which FamilyPair keeps as ambient."""
+    constructed = construct_extremal_affine(2, GF3)
+    searched = []
+    for kind, cands in ((AFFINE, candidates_affine(2, GF2, True)),
+                        (PROJECTIVE, candidates_projective(2, GF2))):
+        by_id = {c.id: c for c in cands}
+        pairs = tuple((by_id[i].A, by_id[i].B) for i in max_family(cands).witness)
+        searched.append(FamilyPair(kind, GF2, 2, pairs))
+    for fam in (constructed, *searched):
+        for family in (fam, load_family(dump_family(fam))):
+            dim = family.n + (family.kind == PROJECTIVE)
+            assert family.m and family.ambient == Space(family.field, dim)
+            assert all(member.space is family.ambient
+                       for pair in family.pairs for member in pair)
 
 
 def test_serialized_key_order_is_fixed():

@@ -138,8 +138,9 @@ def test_values_refuse_assignment_and_deletion(cls):
 
 
 def test_kept_attributes_stay_out_of_the_value():
-    """Field.unchecked, AffineFlat.equations and a Subspace's pivot
-    columns are kept on the instance, but not compared, hashed or printed."""
+    """Field.unchecked, AffineFlat.equations, a Subspace's pivot columns
+    and FamilyPair.ambient are kept on the instance, but not compared,
+    hashed or printed."""
     gf8 = Field(2, 3)
     assert "unchecked" in vars(gf8) and "unchecked" not in repr(gf8)
     assert gf8 == Field(2, 3, (1, 1, 0, 1)) and hash(gf8) == hash((2, 3, (1, 1, 0, 1)))
@@ -154,6 +155,14 @@ def test_kept_attributes_stay_out_of_the_value():
     assert checked == trusted and hash(checked) == hash(trusted) == hash((S3, checked.basis))
     assert repr(checked) == repr(trusted) == repr(rref(S3, [(1, 0, 2), (0, 1, 1)]))
     assert "_pivots" not in repr(checked)
+
+    rebuilt = FamilyPair(FAM.kind, FAM.field, FAM.n, FAM.pairs)
+    assert "ambient" in vars(FAM) and "ambient" not in repr(FAM)
+    assert rebuilt.ambient is FAM.ambient == Space(GF2, 2)
+    assert rebuilt == FAM and hash(rebuilt) == hash(FAM) == hash(fields(FAM))
+    empty, again = FamilyPair("affine", GF2, 2, ()), FamilyPair("affine", GF2, 2, ())
+    assert empty.ambient is not again.ambient and empty.ambient == again.ambient
+    assert empty == again and hash(empty) == hash(again) and repr(empty) == repr(again)
 
 
 def test_a_value_class_without_fields_is_refused():
