@@ -6,16 +6,17 @@ every A_i ∩ B_j with i < j is nonempty; the condition is one-directional,
 so pair order matters.
 
 Verification is enumeration-free.  An affine family is checked on
-direction classes: each distinct direction gets one annihilator, each
-member its equation tags against it, and each distinct pair of
-directions met at most one separator solve (see ``crossflats.geometry``),
-after which a pair check is a few dot products.  Two distinct classes of
-hyperplane cosets need no solve: their one-row annihilators are not
-parallel, so the cosets always meet.  So a row i of the upper triangle
-is walked per B class that may miss A_i, from each class's first
-position after i, not per pair.  The paper's extremal family is made of
-hyperplane cosets only: it is solved on its same-direction pairs alone,
-and a row costs one class.  A projective pair check is one rank test.
+direction classes: two flats are disjoint iff their reps reduce to
+different vectors against the sum of their directions (see
+``crossflats.geometry``), and each distinct pair of directions met forms
+its sum at most once, after which a pair check is two reductions.  Two
+distinct classes of hyperplane cosets need no sum: two distinct
+hyperplanes span the whole space, so the cosets always meet.  So a row i
+of the upper triangle is walked per B class that may miss A_i, from each
+class's first position after i, not per pair.  The paper's extremal
+family is made of hyperplane cosets only: it forms only the sums of a
+class with itself, which take no elimination, and a row costs one class.
+A projective pair check is one rank test.
 
 The file loader checks each vector of a file once, at the boundary: a
 list of n entries (n + 1 in a projective file) of type int in [0, q).
@@ -39,10 +40,9 @@ from .geometry import (
     ProjectiveSubspace,
     _flat,
     _projective_disjoint,
-    _separators,
     cosets,
 )
-from .linalg import Space, _span, annihilator, enumerate_hyperplanes, vec_dot
+from .linalg import Space, _reduced, _span, enumerate_hyperplanes
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -100,8 +100,9 @@ class VerifyReport(_Value):
     """ok, or the first violation as 1-based (i, j, reason).
 
     pair_checks counts the member pairs decided, the violating one
-    included; eliminations counts the separator solves of an affine
-    family or the rank tests of a projective one.
+    included; eliminations counts the direction-class pair sums formed
+    for an affine family (a class with itself included, though it is its
+    own sum) or the rank tests of a projective one.
     """
 
     ok: bool
@@ -123,81 +124,78 @@ class _DirectionClasses:
     """A_i ∩ B_j = ∅ for the flats of an affine family, decided on their
     directions' classes.
 
-    Each distinct direction gets a class number and one annihilator basis
-    W; each member keeps its class and its tags W.rep, so its equations
-    are [W | tags].  The separators of a pair of classes are found on
-    first use and kept in one row per A class.
+    Each distinct direction gets a class number; each member keeps its
+    class and its rep.  The flats are disjoint iff their reps reduce to
+    different vectors against the sum of their directions (see
+    ``crossflats.geometry``).  That sum is formed on first use, once per
+    (A class, B class), and ``solves`` counts the sums formed.
 
-    Two distinct classes whose bases have one row each have no
-    separators, with no solve.  Classes are keyed on the direction's
-    basis, and the annihilator is a bijection on subspaces, so distinct
-    classes have distinct one-dimensional annihilators, each spanned by
-    its one normalized RREF row.  Two distinct normalized rows are
-    linearly independent, so [w_A; w_B] has no left kernel: two
-    non-parallel hyperplane cosets always meet.  Every other pair of
-    classes, a class with itself included, is one separator solve, and
-    ``solves`` counts those alone.
+    A class with itself is its own sum, and its members' reps are
+    already reduced against it, so that sum takes no elimination.  Two
+    distinct hyperplane classes are not spanned, nor counted: a subspace
+    holding two distinct hyperplanes is the whole space.  A sum that is
+    the whole space is kept as None: its cosets always meet, and the walk
+    skips them.
     """
 
     def __init__(self, fam: FamilyPair):
         self.space = fam.ambient
-        self.classes = {}  # direction basis -> class number
-        self.bases = []    # class number -> annihilator basis
-        self.a_side = [self._tagged(a) for a, _ in fam.pairs]
-        self.b_side = [self._tagged(b) for _, b in fam.pairs]
-        self.rows = [None] * len(self.bases)  # A class -> [separators per B class]
+        self.hyperplane = fam.ambient.n - 1  # the dimension of a hyperplane
+        self.classes = {}     # direction basis -> class number
+        self.directions = []  # class number -> direction
+        self.a_side = [self._numbered(a) for a, _ in fam.pairs]
+        self.b_side = [self._numbered(b) for _, b in fam.pairs]
+        self.sums = {}  # (A class, B class) -> their direction sum, or None
         self.solves = 0
-        self.positions = [[] for _ in self.bases]  # B class -> its j, ascending
+        self.positions = [[] for _ in self.directions]  # B class -> its j, ascending
         for j, (number, _) in enumerate(self.b_side):
             self.positions[number].append(j)
-        # The B classes that a one-row A class of another direction may miss.
-        self.wide = [c for c, basis in enumerate(self.bases)
-                     if len(basis) != 1 and self.positions[c]]
+        # The B classes that a hyperplane A class of another direction may miss.
+        self.wide = [c for c, direction in enumerate(self.directions)
+                     if direction.dim != self.hyperplane and self.positions[c]]
 
-    def _tagged(self, flat: AffineFlat):
-        number = self.classes.setdefault(flat.direction.basis, len(self.bases))
-        if number == len(self.bases):
-            self.bases.append(annihilator(flat.direction).basis)
-        space = self.space
-        return number, tuple(vec_dot(space, w, flat.rep) for w in self.bases[number])
+    def _numbered(self, flat: AffineFlat):
+        number = self.classes.setdefault(flat.direction.basis, len(self.directions))
+        if number == len(self.directions):
+            self.directions.append(flat.direction)
+        return number, flat.rep
 
-    def separators(self, a_class: int, b_class: int):
-        row = self.rows[a_class]
-        if row is None:
-            row = self.rows[a_class] = [None] * len(self.bases)
-        separators = row[b_class]
-        if separators is None:
-            left_a, left_b = self.bases[a_class], self.bases[b_class]
-            if a_class != b_class and len(left_a) == 1 == len(left_b):
-                separators = ()
-            else:
-                separators = _separators(self.space, left_a, left_b)
-                self.solves += 1
-            row[b_class] = separators
-        return separators
-
-    def _misses(self, separators, a_tags, j: int) -> bool:
-        tags = a_tags + self.b_side[j][1]
-        return any(vec_dot(self.space, y, tags) for y in separators)
+    def direction_sum(self, a_class: int, b_class: int):
+        """dir A + dir B of the two classes, or None when it is the whole
+        space."""
+        key = a_class, b_class
+        if key in self.sums:
+            return self.sums[key]
+        a, b = self.directions[a_class], self.directions[b_class]
+        if a_class != b_class and a.dim == self.hyperplane == b.dim:
+            total = None
+        else:
+            self.solves += 1
+            total = a if a_class == b_class else _span(self.space, a.basis + b.basis)
+            if total.dim == self.space.n:
+                total = None
+        self.sums[key] = total
+        return total
 
     def disjoint(self, i: int, j: int) -> bool:
-        a_class, a_tags = self.a_side[i]
-        return self._misses(self.separators(a_class, self.b_side[j][0]), a_tags, j)
+        (a_class, rep), (b_class, other) = self.a_side[i], self.b_side[j]
+        total = self.direction_sum(a_class, b_class)
+        return total is not None and _reduced(total, rep) != _reduced(total, other)
 
     def first_disjoint(self, i: int) -> int:
         """The least j > i with A_i ∩ B_j = ∅, or m if there is none.
 
         Only the B classes that may miss A_i are visited: A_i's own
-        class, and the classes without one row (every class, when A_i's
-        has more than one).  They are visited in the order of their first
+        class, and the classes that are not of hyperplanes (every class,
+        when A_i's is not).  They are visited in the order of their first
         position after i, up to the least violating j found so far, so a
-        class is solved exactly when a walk over the pairs (i, i+1),
+        class's sum is formed exactly when a walk over the pairs (i, i+1),
         (i, i+2), ... up to that j would meet it first."""
-        a_class, a_tags = self.a_side[i]
-        if len(self.bases[a_class]) == 1:
+        a_class, rep = self.a_side[i]
+        if self.directions[a_class].dim == self.hyperplane:
             candidates = [a_class, *self.wide]
         else:
-            candidates = range(len(self.bases))
+            candidates = range(len(self.directions))
         firsts = []
         for c in candidates:
             positions = self.positions[c]
@@ -209,12 +207,13 @@ class _DirectionClasses:
         for first, c, k in firsts:
             if first > found:
                 break
-            separators = self.separators(a_class, c)
-            if separators:
+            total = self.direction_sum(a_class, c)
+            if total is not None:
+                target = _reduced(total, rep)
                 for j in itertools.islice(self.positions[c], k, None):
                     if j > found:
                         break
-                    if self._misses(separators, a_tags, j):
+                    if _reduced(total, self.b_side[j][1]) != target:
                         found = j
                         break
         return found
@@ -226,10 +225,10 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
     Diagonal checks run first (i ascending), then the strict upper
     triangle in row-major order; the first violation is reported, with
     the pair checks made up to it.  An affine family is decided on its
-    direction classes: at most one separator solve per distinct
-    (dir A_i, dir B_j) met, not one elimination per pair, and a row of
-    the triangle is walked per B class that may miss A_i, not per pair;
-    the pair checks follow in closed form.  FamilyPair has checked the
+    direction classes: at most one sum per distinct (dir A_i, dir B_j)
+    met, not one elimination per pair, and a row of the triangle is
+    walked per B class that may miss A_i, not per pair; the pair checks
+    follow in closed form.  FamilyPair has checked the
     members' ambient space once, so no pair check repeats that.
     """
     pairs = fam.pairs

@@ -2,16 +2,18 @@
 
 A member's cached ``equations``, rows [w | c] with the member equal to
 {x : w.x = c for every row}, describe its points: point masks, membership,
-incidence vectors, flats_disjoint and affine_intersect are read off them,
-and no code walks a member's points.
+incidence vectors and affine_intersect are read off them, and no code
+walks a member's points.
 
-Flat disjointness splits the equations into their left parts, which
-depend only on the direction, and their tags c.  The separators of two
-directions are a basis of the left kernel of the stacked left parts
-[W_A; W_B].  By the Fredholm alternative the system [W_A; W_B] x =
-(tags_A, tags_B) has no solution, i.e. A ∩ B is empty, iff some separator
-y has y.(tags_A ++ tags_B) != 0; so a family of flats pays one separator
-solve per distinct pair of directions, not one per pair of flats.
+Flat disjointness is read off the directions' sum instead.  A ∩ B is
+nonempty iff rep_A + a = rep_B + b for some a in dir A and b in dir B,
+i.e. iff rep_B − rep_A lies in U = dir A + dir B.  Reducing a vector
+against U's RREF basis is linear and canonical, with kernel U, so A and
+B are disjoint iff rep_A and rep_B reduce to different vectors.  Then
+some w vanishing on U has w.rep_A != w.rep_B, and the parallel
+hyperplanes w.x = w.rep_A and w.x = w.rep_B hold A and B apart.  U
+depends only on the two directions, so a family of flats forms one sum
+per distinct pair of directions, not one per pair of flats.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .linalg import (
     _reduced,
     _rref_rows,
     _same_space,
+    _span,
     _trusted_subspace,
     annihilator,
     enumerate_subspaces,
@@ -103,52 +106,12 @@ def _flat(direction: Subspace, point) -> AffineFlat:
     return flat
 
 
-def _separators(space: Space, left_a, left_b) -> tuple[tuple[int, ...], ...]:
-    """Basis of the left kernel of [left_a; left_b], two RREF row bases
-    (the left parts of two flats' equations): the vectors (λ, μ) with
-    Σ λ_i a_i + Σ μ_j b_j = 0.
-
-    left_a is in RREF, so reducing a row b_j against it subtracts
-    b_j[p_i]·a_i for each pivot column p_i, and no step moves another
-    pivot entry: the residual is b_j − Σ b_j[p_i]·a_i, with coefficients
-    λ = (−b_j[p_i])_i and μ = e_j.  A residual whose left part vanishes
-    gives the kernel vector (λ, μ); the nonzero residuals, tagged with
-    their (λ, μ), add the kernel rows of one elimination, when there are
-    two or more of them (one nonzero row is independent)."""
-    field, n = space.field, space.n
-    neg, sub_scaled = field.unchecked.neg, field.unchecked.sub_scaled
-    pivots = [_pivot(a) for a in left_a]
-    s = len(left_b)
-
-    def coefficients(b, j):
-        return tuple([neg(b[p]) for p in pivots]) + (0,) * j + (1,) + (0,) * (s - j - 1)
-
-    kernel, residual = [], []
-    for j, b in enumerate(left_b):
-        row = b
-        for p, a in zip(pivots, left_a):
-            if b[p]:
-                row = sub_scaled(row, b[p], a)
-        if any(row):
-            residual.append((row, b, j))
-        else:
-            kernel.append(coefficients(b, j))
-    if len(residual) > 1:
-        tracked = [tuple(row) + coefficients(b, j) for row, b, j in residual]
-        width = n + len(left_a) + s
-        kernel += (row[n:] for row in _rref_rows(field, tracked, width) if _pivot(row) >= n)
-    return tuple(kernel)
-
-
 def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
-    """Empty intersection test, the one disjointness path for flats: A ∩ B
-    is empty iff a separator of the two directions (see the module
-    docstring) takes a nonzero value on the equation tags."""
-    space = _same_space(A.space, B.space)
-    tags = tuple(row[-1] for row in A.equations + B.equations)
-    separators = _separators(space, [row[:-1] for row in A.equations],
-                             [row[:-1] for row in B.equations])
-    return any(vec_dot(space, y, tags) for y in separators)
+    """Empty intersection test, the one disjointness path for flats: the
+    reps reduce to different vectors against dir A + dir B (see the
+    module docstring)."""
+    total = _span(_same_space(A.space, B.space), A.direction.basis + B.direction.basis)
+    return _reduced(total, A.rep) != _reduced(total, B.rep)
 
 
 def affine_intersect(A: AffineFlat, B: AffineFlat):

@@ -15,8 +15,9 @@ def pair_loop_verify(fam):
     """(ok, violation, pair_checks, eliminations) of a FamilyPair by one
     disjointness test per pair, in verify's order: the diagonal, then the
     strict upper triangle row-major, up to the first violation.  An affine
-    family's tests share one _DirectionClasses, so eliminations counts its
-    separator solves; a projective family's count one rank test each."""
+    family's tests share one _DirectionClasses, so eliminations counts the
+    direction-class pair sums it formed; a projective family's count one
+    rank test each."""
     m = len(fam.pairs)
     if fam.kind == AFFINE:
         classes = _DirectionClasses(fam)

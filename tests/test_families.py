@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crossflats import families, geometry
+from crossflats import families, geometry, linalg
 from crossflats.families import (
     AFFINE,
     DIAGONAL_NONEMPTY,
@@ -209,47 +209,53 @@ def _mixed_families(field, n, seed):
     (3, GF2), (2, GF3), (2, make_field(2, 2)), (3, GF3), (4, GF2),
 ], ids=["AG(3,2)", "AG(2,3)", "AG(2,4)", "AG(3,3)", "AG(4,2)"])
 def test_verify_matches_the_point_set_oracle_at_mixed_dimensions(monkeypatch, n, field):
-    solved = []  # (kernel dimension, nonzero residual rank) per separator solve
-    shapes = []  # (rows of left_a, rows of left_b, same class) per separator solve
-    separators = families._separators
+    sums = []  # (dim of one class, dim of the other, dim of their sum) per span
+    span = families._span
 
-    def recording(space, left_a, left_b):
-        kernel = separators(space, left_a, left_b)
-        solved.append((len(kernel), len(left_b) - len(kernel)))
-        shapes.append((len(left_a), len(left_b), left_a == left_b))
-        return kernel
+    def recording(space, rows):
+        total = span(space, rows)
+        # rows is the basis of one class then the other's; split it where
+        # both halves are directions of the family.
+        k = next(k for k in range(len(rows) + 1)
+                 if rows[:k] in directions and rows[k:] in directions)
+        assert rows[:k] != rows[k:]  # a class with itself is never spanned
+        sums.append((k, len(rows) - k, total.dim))
+        return total
 
-    monkeypatch.setattr(families, "_separators", recording)
+    monkeypatch.setattr(families, "_span", recording)
     for seed in range(4):
         for pairs, planted in _mixed_families(field, n, 1000 * n + 10 * field.q + seed):
+            directions = {f.direction.basis for pair in pairs for f in pair}
             report = verify_cross_intersecting(FamilyPair(AFFINE, field, n, tuple(pairs)))
             violation, checks = naive_verify(pairs)
             assert (report.ok, report.violation, report.pair_checks) == (
                 violation is None, violation, checks)
             if planted is not None:
                 assert violation == planted
-    assert max(k for k, _ in solved) >= 2
-    # Residual rows of rank >= 2 need an elimination; in a plane the rank is
-    # at most 2 - dim ann(dir A) <= 1.
-    assert max(rank for _, rank in solved) >= (2 if n >= 3 else 1)
-    # Two distinct classes of hyperplane cosets are never solved (they
+    # Two distinct classes of hyperplane cosets are never spanned (they
     # always meet); a hyperplane class against a smaller flat's class is.
-    assert all(a > 1 or b > 1 or same for a, b, same in shapes)
+    assert all(min(a, b) < n - 1 for a, b, _ in sums)
     if n >= 3:
-        assert any(min(a, b) == 1 < max(a, b) for a, b, _ in shapes)
+        assert any(min(a, b) < n - 1 == max(a, b) for a, b, _ in sums)
+        # Both proper sums and whole-space sums occur.  In a plane only two
+        # distinct lines span the whole space, and they are not spanned.
+        assert {total == n for _, _, total in sums} == {False, True}
 
 
 def test_extremal_verify_solves_only_same_direction_pairs(monkeypatch):
     # The family is made of hyperplane cosets over t directions: of the
-    # t x t direction pairs, only the t with equal directions are solved.
+    # t x t direction pairs, only the t with equal directions are solved,
+    # each its own sum, so verify runs no elimination at all.
     field = make_field(2, 3)
     fam = construct_extremal_affine(3, field)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify walked points")
+        raise AssertionError("verify walked points or eliminated")
 
     monkeypatch.setattr(Space, "vectors", refuse)
     monkeypatch.setattr(geometry.PointMasks, "__init__", refuse)
+    monkeypatch.setattr(linalg, "_rref_rows", refuse)
+    monkeypatch.setattr(geometry, "_rref_rows", refuse)
     t, m = 73, fam.m
     assert m == 2 * t
     shuffled = list(fam.pairs)

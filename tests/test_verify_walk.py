@@ -4,7 +4,7 @@ The affine walk decides a row of the upper triangle per B class that may
 miss A_i, visiting the classes in the order of their first position after
 i, and computes pair_checks in closed form.  It must report what the loop
 over every pair reports: the same first violation, the same pair checks
-and the same separator solves.
+and the same direction-class pair sums formed.
 """
 
 import random
