@@ -17,7 +17,9 @@ The incidence vectors are the search's point masks (geometry.PointMasks)
 over the enumerate_projective_points order, read off each member's
 equations as in the search, so each identity is a popcount:
 |A_i ∩ B_j| = (a_i & b_j).bit_count().  build_certificate verifies the
-family, once per certificate.
+family, once per certificate.  certify_projective_bound is the one entry
+point to a report, for the library and the CLI alike; certificate_rows
+reads the matrix rows off the same kept masks.
 """
 
 from __future__ import annotations
@@ -125,12 +127,9 @@ def matrix_rank(mat: CertificateMatrix) -> int:
 
 
 def certify_projective_bound(fam: FamilyPair) -> CertificateReport:
-    """Build the matrix, compute its GF(p) rank, and confirm m <= t - 1."""
-    return certificate_report(fam, build_certificate(fam))
-
-
-def certificate_report(fam: FamilyPair, mat: CertificateMatrix) -> CertificateReport:
-    """Rank and evaluation table of the family's built certificate matrix."""
+    """Build the matrix, compute its GF(p) rank, and confirm m <= t - 1;
+    FamilyViolation if the family does not verify."""
+    mat = build_certificate(fam)
     rank = matrix_rank(mat)
     independent = rank == mat.m + 2
     table_ok = evaluate_identities(fam, mat)

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .certify import build_certificate, certificate_report
+from .certify import certificate_rows, certify_projective_bound
 from .families import (
     AFFINE,
     PROJECTIVE,
@@ -166,12 +166,11 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     fam = _read_family(args.file)
     try:
-        mat = build_certificate(fam)
+        report = certify_projective_bound(fam)
     except FamilyViolation as exc:
         i, j, reason = exc.violation
         print(f"family does not verify: ({i}, {j}) {reason}", file=sys.stderr)
         return EXIT_FAILED
-    report = certificate_report(fam, mat)
     payload = {name: getattr(report, name) for name in report._fields}
     lines = [
         f"m: {report.m}",
@@ -184,9 +183,10 @@ def cmd_certify(args) -> int:
     if report.q2_bound is not None:
         lines.append(f"q2_bound: {report.q2_bound}")
     if args.emit_matrix:
-        payload["matrix"] = [list(row) for row in mat.rows]
+        rows = certificate_rows(fam)
+        payload["matrix"] = [list(row) for row in rows]
         lines.append("matrix:")
-        lines.extend("  " + " ".join(str(c) for c in row) for row in mat.rows)
+        lines.extend("  " + " ".join(str(c) for c in row) for row in rows)
     _emit(args, payload, lines)
     return EXIT_OK if report.bound_confirmed else EXIT_FAILED
 
@@ -201,13 +201,13 @@ def cmd_search(args) -> int:
             raise ValueError("--restricted applies to affine searches only")
         cands = candidates_projective(args.n, field,
                                       max_candidates=args.max_candidates)
-    report = max_family(cands, limit=args.budget, restricted=args.restricted)
+    report = max_family(cands, limit=args.budget)
     payload = {
         "max_size": report.max_size,
         "witness": list(report.witness),
         "nodes_explored": report.nodes_explored,
         "states": report.states,
-        "restricted": report.restricted,
+        "restricted": args.restricted,
         "candidates": len(cands),
         "blocks": report.blocks,
     }
@@ -217,7 +217,7 @@ def cmd_search(args) -> int:
         f"witness: {list(report.witness)}",
         f"nodes_explored: {report.nodes_explored}",
         f"states: {report.states}",
-        f"restricted: {str(report.restricted).lower()}",
+        f"restricted: {str(args.restricted).lower()}",
         f"blocks: {report.blocks}",
     ]
     _emit(args, payload, lines)

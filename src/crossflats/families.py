@@ -16,7 +16,8 @@ of the upper triangle is walked per B class that may miss A_i, from each
 class's first position after i, not per pair.  The paper's extremal
 family is made of hyperplane cosets only: it forms only the sums of a
 class with itself, which take no elimination, and a row costs one class.
-A projective pair check is one rank test.
+Sums are linalg.subspace_sum; a projective pair check is one call of
+geometry.projective_disjoint, a rank test.
 
 The file loader checks each vector of a file once, at the boundary: a
 list of n entries (n + 1 in a projective file) of type int in [0, q).
@@ -39,10 +40,10 @@ from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
     _flat,
-    _projective_disjoint,
     cosets,
+    projective_disjoint,
 )
-from .linalg import Space, _reduced, _span, enumerate_hyperplanes
+from .linalg import Space, _reduced, _span, enumerate_hyperplanes, subspace_sum
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -171,7 +172,7 @@ class _DirectionClasses:
             total = None
         else:
             self.solves += 1
-            total = a if a_class == b_class else _span(self.space, a.basis + b.basis)
+            total = a if a_class == b_class else subspace_sum(a, b)
             if total.dim == self.space.n:
                 total = None
         self.sums[key] = total
@@ -237,10 +238,10 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
         classes = _DirectionClasses(fam)
         disjoint, first_disjoint = classes.disjoint, classes.first_disjoint
     else:
-        classes, space = None, fam.ambient
+        classes = None
 
         def disjoint(i, j):
-            return _projective_disjoint(space, pairs[i][0], pairs[j][1])
+            return projective_disjoint(pairs[i][0], pairs[j][1])
 
         def first_disjoint(i):
             return next((j for j in range(i + 1, m) if disjoint(i, j)), m)

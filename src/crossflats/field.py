@@ -17,9 +17,9 @@ Zech-log table (``1 + g^d = g^zech[d]``).  Every table holds O(q)
 entries, so fields up to ``MAX_ORDER`` fit.
 
 The public ``Field`` methods check their operands and raise on bad ones.
-``Field.unchecked`` carries the same operations without checks, plus the
-row operations of Gaussian elimination; it is for code that works on
-elements already validated at the boundary.
+``Field.unchecked`` carries add, neg, mul, inv and pow without checks,
+plus the row operations of Gaussian elimination; it is for code that
+works on elements already validated at the boundary.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ class Arithmetic:
     checked.  scale(c, row) and sub_scaled(x, c, y) are the row operations
     of Gaussian elimination: c*y and the fused update x - c*y, as lists.
     Multiplication goes through the exp/log tables of the generator;
-    subclasses supply addition.
+    subclasses supply add and neg.
     """
 
     def __init__(self, p: int, k: int, modulus):
@@ -235,9 +235,6 @@ class _PrimeArithmetic(Arithmetic):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def neg(self, a: int) -> int:
         return -a % self.p
 
@@ -258,8 +255,6 @@ class _BinaryArithmetic(Arithmetic):
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
-
-    sub = add
 
     def neg(self, a: int) -> int:
         return a
@@ -303,9 +298,6 @@ class _ZechArithmetic(Arithmetic):
 
     def neg(self, a: int) -> int:
         return self.exp[self.log[a] + self.half] if a else 0
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def sub_scaled(self, x, c: int, y) -> list[int]:
         if not c:
@@ -446,7 +438,8 @@ class Field(_Value):
         return range(self.q)
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        # bool is a subclass of int, but True and False are not encodings.
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element encoding of GF({self.q})")
         return a
 
@@ -458,7 +451,7 @@ class Field(_Value):
 
     def sub(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
-        return self.unchecked.sub(a, b)
+        return self.unchecked.add(a, self.unchecked.neg(b))
 
     def neg(self, a: int) -> int:
         self.check(a)

@@ -13,7 +13,10 @@ B are disjoint iff rep_A and rep_B reduce to different vectors.  Then
 some w vanishing on U has w.rep_A != w.rep_B, and the parallel
 hyperplanes w.x = w.rep_A and w.x = w.rep_B hold A and B apart.  U
 depends only on the two directions, so a family of flats forms one sum
-per distinct pair of directions, not one per pair of flats.
+per distinct pair of directions, not one per pair of flats; every such
+sum is linalg.subspace_sum.  Projective subspaces are disjoint iff
+dim(U + V) = dim U + dim V.  flats_disjoint and projective_disjoint are
+the public tests, and projective verify calls projective_disjoint itself.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from .linalg import (
     _reduced,
     _rref_rows,
     _same_space,
-    _span,
     _trusted_subspace,
     annihilator,
     enumerate_subspaces,
     rref,
+    subspace_sum,
     vec_dot,
 )
 
@@ -110,7 +113,7 @@ def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
     """Empty intersection test, the one disjointness path for flats: the
     reps reduce to different vectors against dir A + dir B (see the
     module docstring)."""
-    total = _span(_same_space(A.space, B.space), A.direction.basis + B.direction.basis)
+    total = subspace_sum(A.direction, B.direction)
     return _reduced(total, A.rep) != _reduced(total, B.rep)
 
 
@@ -225,13 +228,7 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
     """U ∩ V = 0 iff rank(U ∪ V) = dim U + dim V, since
     dim(U ∩ V) = dim U + dim V - rank(U ∪ V): the rank is one elimination
     of both bases."""
-    return _projective_disjoint(_same_space(A.space, B.space), A, B)
-
-
-def _projective_disjoint(space: Space, A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
-    """projective_disjoint for two subspaces already known to live in
-    space, as the members of a FamilyPair do."""
-    U, V = A.lin, B.lin
+    space, U, V = _same_space(A.space, B.space), A.lin, B.lin
     return len(_rref_rows(space.field, U.basis + V.basis, space.n)) == U.dim + V.dim
 
 

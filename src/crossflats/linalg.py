@@ -14,6 +14,8 @@ output (rref, subspace_sum, subspace_intersection, annihilator,
 null_space, enumerate_subspaces) skip validation.  The annihilator, read
 off an RREF basis, turns spanning rows into equations and back, so an
 intersection is the annihilator of a sum: there is no separate solver.
+subspace_sum is the one direction sum of the flat disjointness test, and
+_reduced the one reduction against a basis (contains reads it too).
 """
 
 from __future__ import annotations
@@ -178,13 +180,9 @@ def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
     return annihilator(_span(space, annihilator(U).basis + annihilator(V).basis))
 
 
-def reduce_mod_basis(U: Subspace, v) -> tuple[int, ...]:
-    """Eliminate v against the RREF basis; zero remainder means membership."""
-    return _reduced(U, U.space.check_vector(v))
-
-
 def _reduced(U: Subspace, r) -> tuple[int, ...]:
-    """reduce_mod_basis for a vector already checked."""
+    """The checked vector r eliminated against U's RREF basis: linear and
+    canonical, with kernel U."""
     sub_scaled = U.space.field.unchecked.sub_scaled
     for p, row in zip(U._pivots, U.basis):
         c = r[p]
@@ -194,7 +192,7 @@ def _reduced(U: Subspace, r) -> tuple[int, ...]:
 
 
 def contains(U: Subspace, v) -> bool:
-    return not any(reduce_mod_basis(U, v))
+    return not any(_reduced(U, U.space.check_vector(v)))
 
 
 def annihilator(U: Subspace) -> Subspace:

@@ -64,7 +64,8 @@ state, and what follows it is a maximum sequence from the child, so by
 induction the pass yields the lexicographically smallest maximum
 sequence.  All blocks share the node count (and so the node budget);
 each has its own memo, and the report's states is their total size.
-Sequential runs are fully reproducible.
+Sequential runs are fully reproducible.  The report carries no search
+mode: max_family sees candidates only, whatever made them.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ class SearchReport(_Value):
     max_size: int
     witness: tuple[int, ...]
     nodes_explored: int
-    restricted: bool
     blocks: int = 1
     states: int = 0
 
@@ -253,8 +253,7 @@ def _blocks(candidates: list[CandidatePair]):
     return blocks
 
 
-def max_family(candidates: list[CandidatePair], limit: int | None = None,
-               restricted: bool = False) -> SearchReport:
+def max_family(candidates: list[CandidatePair], limit: int | None = None) -> SearchReport:
     """Exact maximum ordered-sequence length over the given candidates.
 
     Raises BudgetExceeded when more than ``limit`` nodes are visited, and
@@ -307,4 +306,4 @@ def max_family(candidates: list[CandidatePair], limit: int | None = None,
         seqs.append(tuple(seq))
         states += len(memo)
     witness = tuple(candidates[i].id for i in _merge_by_head(seqs))
-    return SearchReport(len(witness), witness, nodes, restricted, len(blocks), states)
+    return SearchReport(len(witness), witness, nodes, len(blocks), states)

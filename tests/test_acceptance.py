@@ -77,7 +77,7 @@ def test_criterion_2_restricted_search_reaches_the_bound():
     for (n, q), want in cases.items():
         t0 = time.perf_counter()
         cands = candidates_affine(n, FIELD_BY_Q[q], restricted=True)
-        report = max_family(cands, restricted=True)
+        report = max_family(cands)
         dt = time.perf_counter() - t0
         if report.max_size != want:
             failures.append(f"(n={n}, q={q}): max {report.max_size}, expected {want}")
@@ -95,8 +95,7 @@ def test_criterion_3_unrestricted_search_validates_the_reduction():
     start = time.perf_counter()
     for n, q in [(2, 2), (1, 3)]:
         field = FIELD_BY_Q[q]
-        restricted = max_family(candidates_affine(n, field, restricted=True),
-                                restricted=True)
+        restricted = max_family(candidates_affine(n, field, restricted=True))
         unrestricted = max_family(candidates_affine(n, field, restricted=False))
         want = 2 * (q ** n - 1) // (q - 1)
         if unrestricted.max_size != restricted.max_size:

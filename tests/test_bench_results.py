@@ -32,5 +32,5 @@ def test_search_results_match_max_family(monkeypatch):
             cands = candidates_affine(n, field, restricted)
         else:
             cands = candidates_projective(n, field)
-        report = max_family(cands, restricted=restricted)
+        report = max_family(cands)
         assert (report.max_size, list(report.witness)) == (size, witness), (kind, n, q)

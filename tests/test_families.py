@@ -209,23 +209,18 @@ def _mixed_families(field, n, seed):
     (3, GF2), (2, GF3), (2, make_field(2, 2)), (3, GF3), (4, GF2),
 ], ids=["AG(3,2)", "AG(2,3)", "AG(2,4)", "AG(3,3)", "AG(4,2)"])
 def test_verify_matches_the_point_set_oracle_at_mixed_dimensions(monkeypatch, n, field):
-    sums = []  # (dim of one class, dim of the other, dim of their sum) per span
-    span = families._span
+    sums = []  # (dim of one class, dim of the other, dim of their sum) per sum
+    subspace_sum = families.subspace_sum
 
-    def recording(space, rows):
-        total = span(space, rows)
-        # rows is the basis of one class then the other's; split it where
-        # both halves are directions of the family.
-        k = next(k for k in range(len(rows) + 1)
-                 if rows[:k] in directions and rows[k:] in directions)
-        assert rows[:k] != rows[k:]  # a class with itself is never spanned
-        sums.append((k, len(rows) - k, total.dim))
+    def recording(a, b):
+        assert a != b  # a class with itself is its own sum, never spanned
+        total = subspace_sum(a, b)
+        sums.append((a.dim, b.dim, total.dim))
         return total
 
-    monkeypatch.setattr(families, "_span", recording)
+    monkeypatch.setattr(families, "subspace_sum", recording)
     for seed in range(4):
         for pairs, planted in _mixed_families(field, n, 1000 * n + 10 * field.q + seed):
-            directions = {f.direction.basis for pair in pairs for f in pair}
             report = verify_cross_intersecting(FamilyPair(AFFINE, field, n, tuple(pairs)))
             violation, checks = naive_verify(pairs)
             assert (report.ok, report.violation, report.pair_checks) == (
@@ -275,6 +270,34 @@ def test_projective_verify_counts_one_rank_test_per_pair():
     report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p1, p2))))
     assert report.violation == (1, 2, OFFDIAGONAL_EMPTY)
     assert (report.pair_checks, report.eliminations) == (3, 3)
+
+
+def test_projective_verify_decides_every_pair_through_projective_disjoint(monkeypatch):
+    """Each pair check of a projective verify is one call of the public
+    geometry.projective_disjoint, which agrees with the point-set oracle."""
+    assert families.projective_disjoint is geometry.projective_disjoint
+    decided = []
+
+    def recording(a, b):
+        disjoint = geometry.projective_disjoint(a, b)
+        assert disjoint == (not members_meet(a, b))
+        decided.append((a, b))
+        return disjoint
+
+    monkeypatch.setattr(families, "projective_disjoint", recording)
+    cands = candidates_projective(2, GF2)
+    by_id = {c.id: c for c in cands}
+    witness = [(by_id[i].A, by_id[i].B) for i in max_family(cands).witness]
+    m = len(witness)
+    diagonal = [*witness[:3], (witness[3][0], witness[3][0]), *witness[4:]]
+    offdiagonal = [*witness[:4], witness[1], *witness[5:]]
+    for pairs, violation in ((witness, None), (diagonal, (4, 4, DIAGONAL_NONEMPTY)),
+                             (offdiagonal, (2, 5, OFFDIAGONAL_EMPTY))):
+        decided.clear()
+        report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 2, tuple(pairs)))
+        assert report.violation == violation
+        assert len(decided) == report.pair_checks == report.eliminations
+    assert report.pair_checks == m + (m - 1) + 3  # the diagonal, row 1, (2, 3) .. (2, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -348,3 +348,15 @@ def test_mixed_space_errors():
         flats_disjoint(a, b)
     with pytest.raises(ValueError, match="zero vector"):
         char_vector(p_small, [(1, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_bool_entries_are_rejected_at_every_boundary(entry):
+    # bool is a subclass of int; a flat built on one would be written as
+    # JSON true/false by family_to_dict, which load_family rejects.
+    space = Space(GF3, 2)
+    direction = rref(space, [(1, 0)])
+    for build in (lambda: GF3.add(entry, 0), lambda: space.check_vector((0, entry)),
+                  lambda: rref(space, [(1, entry)]), lambda: make_flat((0, entry), direction)):
+        with pytest.raises(ValueError, match="is not an element encoding"):
+            build()

@@ -1,4 +1,5 @@
-"""Smoke test of tools/output_digest.py on two of its instances."""
+"""tools/output_digest.py: a smoke test on two of its instances, and the
+full run against the committed digests in tools/output_digest.txt."""
 
 import ast
 import hashlib
@@ -13,14 +14,24 @@ from crossflats.field import make_field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "output_digest.py"
+GOLDEN = ROOT / "tools" / "output_digest.txt"
 SUBSET = ["--only", "ag-2-2", "--only", "search-projective-2-2"]
 
 
-def digest(*options):
-    done = subprocess.run([sys.executable, str(TOOL), *SUBSET, *options],
+def run_tool(*options) -> str:
+    done = subprocess.run([sys.executable, str(TOOL), *options],
                           capture_output=True, text=True, timeout=120, check=False)
     assert (done.returncode, done.stderr) == (0, "")
-    return [line.split("  ", 1) for line in done.stdout.splitlines()]
+    return done.stdout
+
+
+def digest(*options):
+    return [line.split("  ", 1) for line in run_tool(*SUBSET, *options).splitlines()]
+
+
+def test_every_output_matches_the_committed_digests():
+    """An intended change of any command's output edits the golden file."""
+    assert run_tool() == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_digest_lines_are_stable_and_cover_every_op():

@@ -114,16 +114,20 @@ def test_full_compatibility_digraph_at_2_2():
 
 @pytest.mark.parametrize("n,field,best", [(1, GF2, 2), (2, GF2, 6), (2, GF3, 8)])
 def test_restricted_search_values(n, field, best):
-    report = max_family(candidates_affine(n, field, restricted=True), restricted=True)
+    cands = candidates_affine(n, field, restricted=True)
+    report = max_family(cands)
     assert report.max_size == best
-    assert report.restricted
     assert len(report.witness) == best
+    # The witness pairs distinct cosets of one hyperplane each.
+    by_id = {c.id: c for c in cands}
+    assert all(by_id[i].A.direction == by_id[i].B.direction and by_id[i].A.dim == n - 1
+               for i in report.witness)
 
 
 def test_unrestricted_search_matches_restricted_at_2_2():
     unrestricted = max_family(candidates_affine(2, GF2, restricted=False))
-    assert unrestricted.max_size == 6
-    assert not unrestricted.restricted
+    restricted = max_family(candidates_affine(2, GF2, restricted=True))
+    assert unrestricted.max_size == restricted.max_size == 6
 
 
 def test_projective_search_pg12():
@@ -395,8 +399,7 @@ def test_search_memory_at_pg_2_7():
 
 
 def test_blocks_and_node_counts():
-    report = max_family(candidates_affine(2, make_field(5), restricted=True),
-                        restricted=True)
+    report = max_family(candidates_affine(2, make_field(5), restricted=True))
     assert report.max_size == 12
     assert report.witness == (0, 4, 20, 24, 40, 44, 60, 64, 80, 84, 100, 104)
     assert (report.blocks, report.nodes_explored) == (6, 156)

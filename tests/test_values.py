@@ -35,7 +35,7 @@ SAMPLES = {
                  [("bogus", GF2, 2, ()), ("affine", GF2, 0, ()), ("affine", GF3, 3, ((A, PLANE),))]),
     VerifyReport: ([(True, None, 0, 0), (False, (1, 2, "offdiagonal_empty"), 3, 1)], []),
     CandidatePair: ([(0, A, B, 1, 2), (5, B, A, 6, 24)], []),
-    SearchReport: ([(3, (0, 4, 9), 10, True, 1, 0), (0, (), 1, False, 2, 7)], []),
+    SearchReport: ([(3, (0, 4, 9), 10, 1, 0), (0, (), 1, 2, 7)], []),
     CertificateMatrix: ([(2, 1, 3, ((1, 1, 1, 0),)), (3, 0, 4, ())], []),
     CertificateReport: ([(1, 3, 3, True, True, True, None), (2, 7, 3, False, False, True, 6)], []),
 }

@@ -11,6 +11,10 @@ is one ``diff``:
     python tools/output_digest.py --src OTHER/src > old.txt
     diff old.txt new.txt
 
+``tools/output_digest.txt`` holds the digests of this tree, and a tier-1
+test and CI check that the tool reproduces them byte for byte, so a
+change that is meant to alter an output edits that file in its own diff.
+
 Instances (``--only NAME`` picks some):
 
 * ``readme``: the commands of the README's CLI section;
