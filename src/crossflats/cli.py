@@ -5,20 +5,24 @@ Exit codes: 0 success, 1 verification/certification failure, 2 usage,
 input or output error (such as a closed stdout), 3 search node budget
 exceeded.
 
-argv is parsed by the invoked subcommand's parser alone, built on first
-use and reused for the rest of the process.  The full parser tree is
-built only for top-level help and for errors that the subcommand parser
-leaves to it (no or an unknown command, leftover arguments), so help and
-usage errors read exactly as the full tree prints them.
+Each command declares its arguments once, as data in _COMMANDS.
+Well-formed argv (exact option names, each at most once; values that do
+not start with "-" and convert; nothing missing or left over) is read
+off that table directly and builds no parser.  Any other argv goes to
+argparse: the invoked subcommand's parser, built on first use and
+reused, then the full parser tree for top-level help and for errors that
+the subcommand parser leaves to it (no or an unknown command, leftover
+arguments).  So help and usage errors read exactly as the full tree
+prints them, and argparse is imported only on that path.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from .certify import certificate_rows, certify_projective_bound
 from .families import (
@@ -83,9 +87,11 @@ def parse_prime_power(text: str) -> Field:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type for counts: an integer >= 0."""
+    """The type of count options: an integer >= 0."""
     value = int(text)
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -250,87 +256,129 @@ def cmd_points(args) -> int:
     return _emit_vectors(args, field, "points", enumerate_projective_points(args.n, field))
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default: text)")
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text",
+                        "help": "output format (default: text)"})
+_FILE = ("file", {"help": "family file"})
+_LISTING = (("--n", {"type": int, "required": True}), ("--q", {"required": True}), _FORMAT)
 
-
-def _construct_arguments(p):
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--q", required=True, help="field order, e.g. 4 or 2^2")
-    p.add_argument("--lower-bound", action="store_true",
-                   help="first half only: t pairs instead of 2t")
-    p.add_argument("--out", default=None, help="family file path (default: stdout)")
-
-
-def _verify_arguments(p):
-    p.add_argument("file", help="family file")
-    _add_format(p)
-
-
-def _certify_arguments(p):
-    p.add_argument("file", help="family file")
-    p.add_argument("--emit-matrix", action="store_true",
-                   help="include the certificate matrix in the output")
-    _add_format(p)
-
-
-def _search_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--kind", choices=(AFFINE, PROJECTIVE), required=True)
-    p.add_argument("--restricted", action="store_true",
-                   help="affine only: hyperplane-coset candidates")
-    p.add_argument("--budget", type=non_negative_int, default=None, help="node budget")
-    p.add_argument("--max-candidates", type=non_negative_int,
-                   default=DEFAULT_CANDIDATE_CAP)
-    p.add_argument("--out", default=None, help="write the witness family file here")
-    _add_format(p)
-
-
-def _listing_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", required=True)
-    _add_format(p)
-
-
-# name -> (help, command, function that adds its arguments), in help order
+# name -> (help, command, its arguments as (flag, add_argument keywords)),
+# in help order.  Both the argparse parsers and _well_formed read them.
 _COMMANDS = {
-    "construct": ("build the extremal affine family", cmd_construct, _construct_arguments),
-    "verify": ("check the cross-intersecting conditions", cmd_verify, _verify_arguments),
-    "certify": ("rank certificate for a projective family", cmd_certify, _certify_arguments),
-    "search": ("exhaustive maximum-family search", cmd_search, _search_arguments),
-    "hyperplanes": ("list the canonical hyperplane normals", cmd_hyperplanes,
-                    _listing_arguments),
-    "points": ("list the projective point order", cmd_points, _listing_arguments),
+    "construct": ("build the extremal affine family", cmd_construct, (
+        ("--n", {"type": int, "required": True, "help": "ambient dimension"}),
+        ("--q", {"required": True, "help": "field order, e.g. 4 or 2^2"}),
+        ("--lower-bound", {"action": "store_true",
+                           "help": "first half only: t pairs instead of 2t"}),
+        ("--out", {"default": None, "help": "family file path (default: stdout)"}),
+    )),
+    "verify": ("check the cross-intersecting conditions", cmd_verify, (_FILE, _FORMAT)),
+    "certify": ("rank certificate for a projective family", cmd_certify, (
+        _FILE,
+        ("--emit-matrix", {"action": "store_true",
+                           "help": "include the certificate matrix in the output"}),
+        _FORMAT,
+    )),
+    "search": ("exhaustive maximum-family search", cmd_search, (
+        ("--n", {"type": int, "required": True}),
+        ("--q", {"required": True}),
+        ("--kind", {"choices": (AFFINE, PROJECTIVE), "required": True}),
+        ("--restricted", {"action": "store_true",
+                          "help": "affine only: hyperplane-coset candidates"}),
+        ("--budget", {"type": non_negative_int, "default": None, "help": "node budget"}),
+        ("--max-candidates", {"type": non_negative_int, "default": DEFAULT_CANDIDATE_CAP}),
+        ("--out", {"default": None, "help": "write the witness family file here"}),
+        _FORMAT,
+    )),
+    "hyperplanes": ("list the canonical hyperplane normals", cmd_hyperplanes, _LISTING),
+    "points": ("list the projective point order", cmd_points, _LISTING),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_arguments(parser, name: str):
+    for flag, keywords in _COMMANDS[name][2]:
+        parser.add_argument(flag, **keywords)
+
+
+def build_parser():
     """The full tree: the top-level parser and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="crossflats",
         description="Cross-intersecting families of affine flats and "
                     "projective subspaces over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _command_parser(name: str):
     """One command's parser alone, the same as its subparser in the tree."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"crossflats {name}")
-    _COMMANDS[name][2](parser)
+    _add_arguments(parser, name)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Everything after a command name goes to that command's parser, as
-    in the full tree; any other argv, and leftover arguments, get the
-    full tree, which prints top-level help and errors itself."""
+def _well_formed(name: str, tokens: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives for ``name`` and its tokens, read off
+    the argument table without argparse, or None unless the tokens are
+    well formed: exact option names, each at most once; values and
+    positionals that do not start with "-", each value of its declared
+    type and among its choices; every required option and positional
+    present.  Such tokens mean the same to argparse, so the namespace is
+    its own: every dest with its default, and ``command``."""
+    options, positionals = {}, []
+    for flag, keywords in _COMMANDS[name][2]:
+        if flag.startswith("-"):
+            options[flag] = keywords
+        else:
+            positionals.append(flag)
+    given, words = {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            if token.startswith("-"):
+                return None
+            words.append(token)
+        elif token in given:
+            return None
+        elif keywords.get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, "-")  # a missing value fails as a "-" one
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except Exception:  # argparse converts it again and reports the error
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+            given[token] = value
+    if len(words) != len(positionals) or any(
+            keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    args = types.SimpleNamespace(command=name, **dict(zip(positionals, words)))
+    for flag, keywords in options.items():
+        default = keywords.get("default", False if keywords.get("action") else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _parse(argv: list[str]):
+    """Well-formed argv (see _well_formed) builds no parser.  Any other
+    argv after a command name goes to that command's argparse parser, as
+    in the full tree; any other argv, and leftover arguments, get the full
+    tree, which prints top-level help and errors itself."""
     if argv and argv[0] in _COMMANDS:
+        args = _well_formed(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]

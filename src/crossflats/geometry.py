@@ -157,7 +157,7 @@ def cosets(sub: Subspace):
         rep = [0] * n
         for j, val in zip(free, values):
             rep[j] = val
-        yield AffineFlat(tuple(rep), sub)
+        yield _flat(sub, tuple(rep))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ Input is checked at the boundary: rref() and null_space() check every
 row they are given, and a Subspace(...) built by a caller validates its
 RREF invariants.  Past that point the data is trusted.  _rref_rows is the
 one elimination kernel; it and vec_dot run on the field's unchecked
-operations, and the subspaces this module builds from kernel
-output (rref, subspace_sum, subspace_intersection, annihilator,
-null_space, enumerate_subspaces) skip validation.  The annihilator, read
-off an RREF basis, turns spanning rows into equations and back, so an
-intersection is the annihilator of a sum: there is no separate solver.
+operations, and the subspaces this module builds from kernel output
+(rref, subspace_sum, subspace_intersection, annihilator, null_space,
+enumerate_subspaces) skip validation, as do the hyperplanes of
+enumerate_hyperplanes and Hyperplane.kernel, which is read off the
+normal in closed form.  The annihilator, read off an RREF basis, turns
+spanning rows into equations and back, so an intersection is the
+annihilator of a sum: there is no separate solver.
 subspace_sum is the one direction sum of the flat disjointness test, and
 _reduced the one reduction against a basis (contains reads it too).
 """
@@ -234,16 +236,35 @@ class Hyperplane(_Value):
             raise ValueError("normal must be nonzero with first nonzero entry 1")
 
     def kernel(self) -> Subspace:
-        return null_space(self.space, [self.normal])
+        """null_space of the normal w, in closed form: with l the last
+        index where w is nonzero, the rows e_i - (w_i / w_l) e_l for every
+        i != l, ascending.  Row i has its pivot at i and column l is no
+        pivot, so the rows are the canonical RREF basis."""
+        space, w = self.space, self.normal
+        ops = space.field.unchecked
+        last = max(i for i, c in enumerate(w) if c)
+        factor = ops.neg(ops.inv(w[last]))
+        basis = []
+        for i, c in enumerate(w):
+            if i != last:
+                row = [0] * space.n
+                row[i], row[last] = 1, ops.mul(factor, c)
+                basis.append(tuple(row))
+        return _trusted_subspace(space, basis)
 
 
 def enumerate_hyperplanes(space: Space) -> list[Hyperplane]:
-    """All (q^n - 1)/(q - 1) hyperplanes, sorted by canonical normal."""
+    """All (q^n - 1)/(q - 1) hyperplanes, sorted by canonical normal.
+    Each normal is canonical by construction, so Hyperplane's checks are
+    skipped, as _trusted_subspace skips Subspace's."""
     out = []
     for v in space.vectors():
         p = _pivot(v)
         if p >= 0 and v[p] == 1:
-            out.append(Hyperplane(space, v))
+            hyperplane = object.__new__(Hyperplane)
+            object.__setattr__(hyperplane, "space", space)
+            object.__setattr__(hyperplane, "normal", v)
+            out.append(hyperplane)
     return out
 
 

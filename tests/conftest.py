@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import types
 
 import pytest
@@ -13,3 +15,15 @@ def refuse_point_walk(monkeypatch):
         raise AssertionError("walked the vectors before bounding their number")
 
     monkeypatch.setattr(geometry, "itertools", types.SimpleNamespace(product=refuse))
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py, loaded as a module."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # run.py imports gen
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+

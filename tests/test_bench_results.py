@@ -6,25 +6,12 @@ Node and candidate counts are behaviour, not contract, and are not
 checked here.
 """
 
-import importlib.util
-import pathlib
-
 from crossflats.cli import parse_prime_power
 from crossflats.search import candidates_affine, candidates_projective, max_family
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
-
-def _load_run(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports gen
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_search_results_match_max_family(monkeypatch):
-    results = _load_run(monkeypatch).SEARCH_RESULTS
+def test_search_results_match_max_family(perfbench_run):
+    results = perfbench_run.SEARCH_RESULTS
     assert results
     for (kind, restricted, n, q), (size, witness, _, _) in results.items():
         field = parse_prime_power(str(q))

@@ -1,14 +1,18 @@
 """CLI grammar, exit codes, round trips, canonical JSON output."""
 
+import contextlib
 import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from crossflats import certify as certify_module
 from crossflats import cli as cli_module
@@ -447,6 +451,10 @@ PARSE_CORPUS = [
     ["construct", "--n", "1", "--q", "2", "extra"],
     [*SEARCH, "--budget", "-1"], [*SEARCH, "--budget=-1"], [*SEARCH, "--budget", "0"],
     ["points", "--n", "2", "--q", "2", "--format", "json"],
+    # the edges of the fast path: argparse alone accepts these or rejects them
+    ["construct", "--n=2", "--q", "2"], ["construct", "--n", "2", "--n", "3", "--q", "2"],
+    ["construct", "--n", "-1", "--q", "2"], [*SEARCH, "--out", "--format", "json"],
+    ["verify", "-"], ["verify", "x", "--format", "json", "--format", "text"],
 ]
 
 
@@ -462,29 +470,115 @@ def test_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
     assert got == run(capsys, *argv)
 
 
+def _format_with_equals(argv):
+    """The same arguments in a spelling only argparse reads: --format=X."""
+    if "--format" in argv:
+        i = argv.index("--format")
+        return [*argv[:i], f"--format={argv[i + 1]}", *argv[i + 2:]]
+    return [*argv, "--format=text"]
+
+
 def test_the_command_parser_is_reused_without_carrying_state(tmp_path, capsys):
-    cli_module._command_parser.cache_clear()
-    witness = str(tmp_path / "witness.json")
-    assert run(capsys, *SEARCH, "--budget", "0")[0] == 3
-    assert run(capsys, *SEARCH)[0] == 0
-    assert run(capsys, "search", "--n", "1", "--q", "2", "--kind", "projective",
-               "--out", witness)[0] == 0
+    """Neither path carries one command's values into the next.  The fast
+    path builds no parser; argparse builds one per command and reuses it."""
+    for spelled, built in ((list, (0, 0)), (_format_with_equals, (3, 4))):
+        cli_module._command_parser.cache_clear()
+        witness = str(tmp_path / "witness.json")
+        assert run(capsys, *spelled([*SEARCH, "--budget", "0"]))[0] == 3
+        assert run(capsys, *spelled(SEARCH))[0] == 0
+        assert run(capsys, *spelled(["search", "--n", "1", "--q", "2", "--kind", "projective",
+                                     "--out", witness]))[0] == 0
 
-    code, stdout, _ = run(capsys, "certify", witness, "--emit-matrix")
-    assert code == 0 and "matrix:" in stdout
-    code, stdout, _ = run(capsys, "certify", witness)
-    assert code == 0 and "bound_confirmed: true" in stdout and "matrix" not in stdout
+        code, stdout, _ = run(capsys, *spelled(["certify", witness, "--emit-matrix"]))
+        assert code == 0 and "matrix:" in stdout
+        code, stdout, _ = run(capsys, *spelled(["certify", witness]))
+        assert code == 0 and "bound_confirmed: true" in stdout and "matrix" not in stdout
 
-    code, stdout, _ = run(capsys, "verify", witness, "--format", "json")
-    assert code == 0 and json.loads(stdout)["ok"] is True
-    code, stdout, _ = run(capsys, "verify", witness)
-    assert code == 0 and stdout.startswith("kind: projective\n")
+        code, stdout, _ = run(capsys, *spelled(["verify", witness, "--format", "json"]))
+        assert code == 0 and json.loads(stdout)["ok"] is True
+        code, stdout, _ = run(capsys, *spelled(["verify", witness]))
+        assert code == 0 and stdout.startswith("kind: projective\n")
 
-    info = cli_module._command_parser.cache_info()
-    assert (info.currsize, info.hits) == (3, 4)  # search, certify, verify
+        info = cli_module._command_parser.cache_info()
+        assert (info.currsize, info.hits) == built  # search, certify, verify
+
+
+# Tokens of every kind the fast path must accept or leave to argparse.
+VALUES = ["2", " 3", "0", "-1", " -1", "x", "2^2", "", "affine", "projective", "both",
+          "json", "text", "xml", "-", "--", "-h", "--help", "verify"]
+OPTION_TOKENS = ["--n=2", "--format=json", "--budget=-1", "--max-c", "--emit", "--form",
+                 "--lower", "--res", "--k", "--bogus", "-n"]
+GOOD_VALUES = {"--n": ["2", " 3", "0", "17"], "--q": ["3", "2^2", "x"],
+               "--kind": ["affine", "projective"], "--budget": ["0", "5"],
+               "--max-candidates": ["7", "0"], "--out": ["w.json"],
+               "--format": ["json", "text"], "file": ["fam.json"]}
+
+
+@st.composite
+def command_argv(draw):
+    """A command, some of its arguments in any order with good or bad
+    values, and a few stray tokens inserted anywhere."""
+    name = draw(st.sampled_from(COMMANDS))
+    pieces = []
+    for flag, keywords in cli_module._COMMANDS[name][2]:
+        if not (keywords.get("required") or not flag.startswith("-") or draw(st.booleans())):
+            continue
+        value = draw(st.sampled_from(GOOD_VALUES.get(flag, ["x"])) | st.sampled_from(VALUES))
+        if not flag.startswith("-"):
+            pieces.append([value])
+        elif keywords.get("action") == "store_true":
+            pieces.append([flag])
+        else:
+            pieces.append([flag, value])
+    tokens = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    stray = st.sampled_from([flag for flag, _ in cli_module._COMMANDS[name][2]]
+                            + VALUES + OPTION_TOKENS)
+    for position, token in draw(st.lists(st.tuples(st.integers(0, len(tokens)), stray),
+                                         max_size=2)):
+        tokens.insert(position, token)
+    return [name, *tokens]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command_argv())
+def test_the_fast_path_returns_the_namespace_of_argparse(argv):
+    fast = cli_module._well_formed(argv[0], argv[1:])
+    event("fast path" if fast is not None else "argparse")
+    if fast is not None:
+        # only the grammar _well_formed documents: exact names, each once
+        flags = [token for token in argv[1:] if token.startswith("-")]
+        declared = {flag for flag, _ in cli_module._COMMANDS[argv[0]][2]}
+        assert len(set(flags)) == len(flags) and set(flags) <= declared
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                reference = cli_module.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}: {stderr.getvalue()}")
+        assert vars(fast) == vars(reference)
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in section.splitlines()
+            if line.startswith("crossflats ")]
+
+
+def test_documented_and_benchmarked_commands_take_the_fast_path(
+        perfbench_run, monkeypatch, tmp_path):
+    """The argv shapes users and the benchmark run build no parser."""
+    monkeypatch.setattr(perfbench_run, "WORK", str(tmp_path))
+    commands = _readme_commands() + [
+        argv for name in ("search-dp", "search-graph", "files")
+        for _, argv, _ in perfbench_run.build_workload(name, 1).ops]
+    assert len(commands) > 8 and {argv[0] for argv in commands} == set(COMMANDS)
+    for argv in commands:
+        assert cli_module._well_formed(argv[0], argv[1:]) is not None, argv
 
 
 def test_importing_the_cli_builds_no_parser():
+    """Nor does a well-formed command; its help builds its own parser."""
     counting = ("import argparse, sys\n"
                 "built = []\n"
                 "init = argparse.ArgumentParser.__init__\n"
@@ -493,19 +587,22 @@ def test_importing_the_cli_builds_no_parser():
                 "    init(self, *args, **kwargs)\n"
                 "argparse.ArgumentParser.__init__ = counted\n"
                 "import crossflats.cli\n"
-                "print(len(built))\n"
+                "print('built:', built)\n"
                 "crossflats.cli.main(['points', '--n', '1', '--q', '2'])\n"
-                "print(built)\n")
+                "print('built:', built)\n"
+                "crossflats.cli.main(['points', '--help'])\n"
+                "print('built:', built)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", counting], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("0", "['crossflats points']")
+    built = [line for line in done.stdout.splitlines() if line.startswith("built:")]
+    assert built == ["built: []", "built: []", "built: ['crossflats points']"]
 
 
 def test_importing_the_cli_leaves_out_the_code_generation_modules():
     """The value classes need no dataclasses, and so none of the modules it
-    pulls in for generating and inspecting code."""
+    pulls in for generating and inspecting code; the CLI loads argparse
+    (and with it gettext and locale) only for help and usage errors."""
     recording = ("import json, sys\n"
                  "before = set(sys.modules)\n"
                  "import crossflats, crossflats.cli\n"
@@ -516,6 +613,7 @@ def test_importing_the_cli_leaves_out_the_code_generation_modules():
     imported = json.loads(done.stdout)
     assert "crossflats.cli" in imported
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(imported)
+    assert {"argparse", "gettext", "locale"}.isdisjoint(imported)
 
 
 class _ClosedPipe(io.StringIO):

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflats.field import MAX_ORDER, make_field
 from crossflats.geometry import (
@@ -13,6 +15,7 @@ from crossflats.geometry import (
     ProjectiveSubspace,
     affine_intersect,
     char_vector,
+    cosets,
     enumerate_flats,
     enumerate_projective_points,
     flats_disjoint,
@@ -21,7 +24,14 @@ from crossflats.geometry import (
     make_projective_subspace,
     projective_disjoint,
 )
-from crossflats.linalg import Space, enumerate_hyperplanes, enumerate_subspaces, rref
+from crossflats.linalg import (
+    Hyperplane,
+    Space,
+    enumerate_hyperplanes,
+    enumerate_subspaces,
+    null_space,
+    rref,
+)
 import oracles
 from oracles import canonical_points, flat_points, member_points, members_meet
 
@@ -360,3 +370,35 @@ def test_bool_entries_are_rejected_at_every_boundary(entry):
                   lambda: rref(space, [(1, entry)]), lambda: make_flat((0, entry), direction)):
         with pytest.raises(ValueError, match="is not an element encoding"):
             build()
+
+
+HYPERPLANE_FIELDS = {q: make_field(p, k) for q, (p, k) in
+                     {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                      9: (3, 2)}.items()}
+
+
+@st.composite
+def hyperplanes_and_subspaces(draw):
+    """A hyperplane of F_q^n (n <= 4) and a subspace spanned by random rows."""
+    field = HYPERPLANE_FIELDS[draw(st.sampled_from(sorted(HYPERPLANE_FIELDS)))]
+    space = Space(field, draw(st.integers(1, 4)))
+    vector = st.lists(st.integers(0, field.q - 1), min_size=space.n, max_size=space.n)
+    w = draw(vector.filter(any))
+    lead = field.inv(next(c for c in w if c))
+    normal = tuple(field.mul(lead, c) for c in w)
+    rows = draw(st.lists(vector, max_size=space.n))
+    return Hyperplane(space, normal), rref(space, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hyperplanes_and_subspaces())
+def test_closed_form_kernels_and_trusted_cosets_match_the_checked_paths(drawn):
+    """Hyperplane.kernel is null_space of its normal, and cosets builds the
+    flats make_flat builds from the same reps."""
+    hyperplane, sub = drawn
+    kernel = hyperplane.kernel()
+    assert kernel == null_space(hyperplane.space, [hyperplane.normal])
+    for direction in (kernel, sub):
+        flats = list(cosets(direction))
+        assert flats == [make_flat(flat.rep, direction) for flat in flats]
+        assert len(set(flats)) == hyperplane.space.q ** (hyperplane.space.n - direction.dim)

@@ -1,8 +1,10 @@
 """tools/output_digest.py: a smoke test on two of its instances, and the
-full run against the committed digests in tools/output_digest.txt."""
+full run against the committed digests in tools/output_digest.txt and
+their alternates."""
 
 import ast
 import hashlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -31,7 +33,30 @@ def digest(*options):
 
 def test_every_output_matches_the_committed_digests():
     """An intended change of any command's output edits the golden file."""
-    assert run_tool() == GOLDEN.read_text(encoding="utf-8")
+    assert run_tool("--check") == ""
+
+
+def test_an_alternate_passes_only_in_place_of_its_own_op():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    golden, alternates = tool._read_lines(tool.GOLDEN), tool._read_lines(tool.ALTERNATES)
+    ops = [line.split("  ", 1)[1] for line in golden]
+    assert alternates and set(alternates).isdisjoint(golden)
+    assert all(line.split("  ", 1)[1] in ops for line in alternates)
+    assert tool.mismatches(golden, golden, alternates) == []
+
+    for alternate in alternates:
+        at = ops.index(alternate.split("  ", 1)[1])
+        assert tool.mismatches([*golden[:at], alternate, *golden[at + 1:]],
+                               golden, alternates) == []
+        # elsewhere, or with another digest, it is a mismatch
+        elsewhere = (at + 1) % len(golden)
+        assert tool.mismatches([*golden[:elsewhere], alternate, *golden[elsewhere + 1:]],
+                               golden, alternates) != []
+        other = "0" * 64 + alternate[64:]
+        assert tool.mismatches([*golden[:at], other, *golden[at + 1:]],
+                               golden, alternates) == [other]
 
 
 def test_digest_lines_are_stable_and_cover_every_op():
