@@ -8,17 +8,14 @@ exceeded.
 Each command declares its arguments once, as data in _COMMANDS.
 Well-formed argv (exact option names, each at most once; values that do
 not start with "-" and convert; nothing missing or left over) is read
-off that table directly and builds no parser.  Any other argv goes to
-argparse: the invoked subcommand's parser, built on first use and
-reused, then the full parser tree for top-level help and for errors that
-the subcommand parser leaves to it (no or an unknown command, leftover
-arguments).  So help and usage errors read exactly as the full tree
-prints them, and argparse is imported only on that path.
+off that table directly and builds no parser.  Any other argv (help,
+usage errors, spellings such as --opt=value) goes to the full argparse
+tree, built for that call alone, which prints help and errors itself;
+argparse is imported only on that path.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -97,7 +94,7 @@ def non_negative_int(text: str) -> int:
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -228,8 +225,7 @@ def cmd_search(args) -> int:
     ]
     _emit(args, payload, lines)
     if args.out is not None:
-        by_id = {c.id: c for c in cands}
-        pairs = tuple((by_id[i].A, by_id[i].B) for i in report.witness)
+        pairs = tuple((cands[i].A, cands[i].B) for i in report.witness)
         _write_family(FamilyPair(args.kind, field, args.n, pairs), args.out)
     return EXIT_OK
 
@@ -294,11 +290,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser, name: str):
-    for flag, keywords in _COMMANDS[name][2]:
-        parser.add_argument(flag, **keywords)
-
-
 def build_parser():
     """The full tree: the top-level parser and one subparser per command."""
     import argparse
@@ -308,18 +299,10 @@ def build_parser():
         description="Cross-intersecting families of affine flats and "
                     "projective subspaces over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
-
-
-@functools.cache
-def _command_parser(name: str):
-    """One command's parser alone, the same as its subparser in the tree."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"crossflats {name}")
-    _add_arguments(parser, name)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -371,17 +354,11 @@ def _well_formed(name: str, tokens: list[str]) -> types.SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """Well-formed argv (see _well_formed) builds no parser.  Any other
-    argv after a command name goes to that command's argparse parser, as
-    in the full tree; any other argv, and leftover arguments, get the full
-    tree, which prints top-level help and errors itself."""
+    """Well-formed argv (see _well_formed) builds no parser; any other
+    argv gets the full tree, which prints help and usage errors itself."""
     if argv and argv[0] in _COMMANDS:
         args = _well_formed(argv[0], argv[1:])
         if args is not None:
-            return args
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
             return args
     return build_parser().parse_args(argv)
 

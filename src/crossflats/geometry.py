@@ -28,6 +28,7 @@ from .field import MAX_ORDER, Field, _Value, exceeds_max_order
 from .linalg import (
     Space,
     Subspace,
+    _annihilator_rows,
     _pivot,
     _reduced,
     _rref_rows,
@@ -71,9 +72,9 @@ class AffineFlat(_Value):
 
     @cached_property
     def equations(self) -> tuple[tuple[int, ...], ...]:
-        """Rows [w | w.rep], w over the RREF basis of the annihilator of
-        the direction (null_space of its rows): the flat is
-        {x : w.x = w.rep for every row}.
+        """Rows [w | w.rep], w over the annihilator of the direction as
+        read off its RREF basis (linalg._annihilator_rows, no
+        elimination): the flat is {x : w.x = w.rep for every row}.
 
         x lies in the flat iff x - rep lies in the direction, iff
         w.(x - rep) = 0 for every w in the annihilator, because over GF(q)
@@ -81,7 +82,7 @@ class AffineFlat(_Value):
         count)."""
         space = self.space
         return tuple(w + (vec_dot(space, w, self.rep),)
-                     for w in annihilator(self.direction).basis)
+                     for w in _annihilator_rows(self.direction))
 
     def contains_point(self, v) -> bool:
         return _satisfies(self, self.space.check_vector(v))
@@ -213,10 +214,9 @@ class ProjectiveSubspace(_Value):
 
     @cached_property
     def equations(self) -> tuple[tuple[int, ...], ...]:
-        """Rows [w | 0], w over the RREF basis of the annihilator of lin,
-        in the form of AffineFlat.equations: the subspace is
-        {x : w.x = 0 for every row}."""
-        return tuple(w + (0,) for w in annihilator(self.lin).basis)
+        """Rows [w | 0], w over the annihilator of lin as AffineFlat.equations
+        reads it off: the subspace is {x : w.x = 0 for every row}."""
+        return tuple(w + (0,) for w in _annihilator_rows(self.lin))
 
 
 def make_projective_subspace(n: int, field: Field, rows) -> ProjectiveSubspace:

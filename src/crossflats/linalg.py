@@ -15,7 +15,9 @@ enumerate_subspaces) skip validation, as do the hyperplanes of
 enumerate_hyperplanes and Hyperplane.kernel, which is read off the
 normal in closed form.  The annihilator, read off an RREF basis, turns
 spanning rows into equations and back, so an intersection is the
-annihilator of a sum: there is no separate solver.
+annihilator of a sum: there is no separate solver.  _annihilator_rows
+is that read-off without the final elimination; a member's equations
+use its rows as they are, since no reader needs them in RREF.
 subspace_sum is the one direction sum of the flat disjointness test, and
 _reduced the one reduction against a basis (contains reads it too).
 """
@@ -197,9 +199,10 @@ def contains(U: Subspace, v) -> bool:
     return not any(_reduced(U, U.space.check_vector(v)))
 
 
-def annihilator(U: Subspace) -> Subspace:
-    """Canonical basis of {x : u . x = 0 for every u in U}, read off U's
-    RREF basis: one vector per non-pivot column."""
+def _annihilator_rows(U: Subspace) -> list[tuple[int, ...]]:
+    """A basis of {x : u . x = 0 for every u in U}, read off U's RREF
+    basis without an elimination: one vector per non-pivot column, the
+    same for every U of equal span, but not necessarily in RREF."""
     space, reduced, pivots = U.space, U.basis, U._pivots
     neg = space.field.unchecked.neg
     basis = []
@@ -211,7 +214,12 @@ def annihilator(U: Subspace) -> Subspace:
         for i, p in enumerate(pivots):
             v[p] = neg(reduced[i][free])
         basis.append(tuple(v))
-    return _span(space, basis)
+    return basis
+
+
+def annihilator(U: Subspace) -> Subspace:
+    """Canonical basis of {x : u . x = 0 for every u in U}."""
+    return _span(U.space, _annihilator_rows(U))
 
 
 def null_space(space: Space, rows) -> Subspace:

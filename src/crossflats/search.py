@@ -134,7 +134,8 @@ def _check_dimension(n: int, max_candidates: int):
 
 
 def _disjoint_pairs(groups, masks, max_candidates: int) -> list[CandidatePair]:
-    """Disjoint ordered pairs within each group of members, in order."""
+    """Disjoint ordered pairs within each group of members, in order.  A
+    candidate's id is its position in the returned list."""
     pairs = []
     for group in groups:
         masked = [(member, masks(member)) for member in group]

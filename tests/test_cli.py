@@ -1,5 +1,6 @@
 """CLI grammar, exit codes, round trips, canonical JSON output."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -460,8 +461,9 @@ PARSE_CORPUS = [
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
 def test_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
-    """main parses with one command's parser; the reference parses every
-    argv with the full tree.  Help, usage errors and outputs agree."""
+    """main reads well-formed argv off the argument table; the reference
+    parses every argv with the full tree.  Help, usage errors and outputs
+    agree."""
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)  # no file named x
     got = run(capsys, *argv)
@@ -478,29 +480,41 @@ def _format_with_equals(argv):
     return [*argv, "--format=text"]
 
 
-def test_the_command_parser_is_reused_without_carrying_state(tmp_path, capsys):
+def test_parsing_carries_no_state_from_one_command_to_the_next(
+        tmp_path, capsys, monkeypatch):
     """Neither path carries one command's values into the next.  The fast
-    path builds no parser; argparse builds one per command and reuses it."""
-    for spelled, built in ((list, (0, 0)), (_format_with_equals, (3, 4))):
-        cli_module._command_parser.cache_clear()
-        witness = str(tmp_path / "witness.json")
-        assert run(capsys, *spelled([*SEARCH, "--budget", "0"]))[0] == 3
-        assert run(capsys, *spelled(SEARCH))[0] == 0
-        assert run(capsys, *spelled(["search", "--n", "1", "--q", "2", "--kind", "projective",
-                                     "--out", witness]))[0] == 0
+    path builds no parser; argparse builds the full tree (the top-level
+    parser and 6 subparsers) for each call and drops it."""
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-        code, stdout, _ = run(capsys, *spelled(["certify", witness, "--emit-matrix"]))
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for spelled, per_call in ((list, 0), (_format_with_equals, 1 + len(COMMANDS))):
+        def call(*argv):
+            before = len(built)
+            result = run(capsys, *spelled(list(argv)))
+            assert len(built) - before == per_call, argv
+            return result
+
+        witness = str(tmp_path / "witness.json")
+        assert call(*SEARCH, "--budget", "0")[0] == 3
+        assert call(*SEARCH)[0] == 0
+        assert call("search", "--n", "1", "--q", "2", "--kind", "projective",
+                    "--out", witness)[0] == 0
+
+        code, stdout, _ = call("certify", witness, "--emit-matrix")
         assert code == 0 and "matrix:" in stdout
-        code, stdout, _ = run(capsys, *spelled(["certify", witness]))
+        code, stdout, _ = call("certify", witness)
         assert code == 0 and "bound_confirmed: true" in stdout and "matrix" not in stdout
 
-        code, stdout, _ = run(capsys, *spelled(["verify", witness, "--format", "json"]))
+        code, stdout, _ = call("verify", witness, "--format", "json")
         assert code == 0 and json.loads(stdout)["ok"] is True
-        code, stdout, _ = run(capsys, *spelled(["verify", witness]))
+        code, stdout, _ = call("verify", witness)
         assert code == 0 and stdout.startswith("kind: projective\n")
-
-        info = cli_module._command_parser.cache_info()
-        assert (info.currsize, info.hits) == built  # search, certify, verify
 
 
 # Tokens of every kind the fast path must accept or leave to argparse.
@@ -578,7 +592,7 @@ def test_documented_and_benchmarked_commands_take_the_fast_path(
 
 
 def test_importing_the_cli_builds_no_parser():
-    """Nor does a well-formed command; its help builds its own parser."""
+    """Nor does a well-formed command; its help builds the full tree."""
     counting = ("import argparse, sys\n"
                 "built = []\n"
                 "init = argparse.ArgumentParser.__init__\n"
@@ -596,7 +610,8 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", counting], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     built = [line for line in done.stdout.splitlines() if line.startswith("built:")]
-    assert built == ["built: []", "built: []", "built: ['crossflats points']"]
+    tree = ["crossflats", *(f"crossflats {name}" for name in COMMANDS)]
+    assert built == ["built: []", "built: []", f"built: {tree}"]
 
 
 def test_importing_the_cli_leaves_out_the_code_generation_modules():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossflats import geometry, linalg
 from crossflats.field import MAX_ORDER, make_field
 from crossflats.geometry import (
     AffineFlat,
@@ -27,11 +28,15 @@ from crossflats.geometry import (
 from crossflats.linalg import (
     Hyperplane,
     Space,
+    _annihilator_rows,
+    _span,
+    annihilator,
     enumerate_hyperplanes,
     enumerate_subspaces,
     null_space,
     rref,
 )
+from crossflats.search import candidates_affine
 import oracles
 from oracles import canonical_points, flat_points, member_points, members_meet
 
@@ -402,3 +407,34 @@ def test_closed_form_kernels_and_trusted_cosets_match_the_checked_paths(drawn):
         flats = list(cosets(direction))
         assert flats == [make_flat(flat.rep, direction) for flat in flats]
         assert len(set(flats)) == hyperplane.space.q ** (hyperplane.space.n - direction.dim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hyperplanes_and_subspaces())
+def test_annihilator_rows_span_the_annihilator(drawn):
+    """The rows the equations read, before any elimination, are a basis of
+    the annihilator: they span it and vanish on U."""
+    _, sub = drawn
+    space, field = sub.space, sub.space.field
+    rows, ann = _annihilator_rows(sub), annihilator(sub)
+    assert _span(space, rows) == ann and len(rows) == ann.dim
+    for w in rows:
+        for u in sub.basis:
+            assert _dot(field, w, u) == 0
+
+
+def test_restricted_candidates_run_no_elimination(monkeypatch):
+    """Restricted (2,5) candidates: hyperplane kernels in closed form and
+    coset equations read off without an elimination."""
+    calls = []
+    rref_rows = linalg._rref_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rref_rows(*args)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
+    monkeypatch.setattr(geometry, "_rref_rows", counted)
+    cands = candidates_affine(2, make_field(5), True)
+    assert len(cands) == 6 * 5 * 4
+    assert calls == []
