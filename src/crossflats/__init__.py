@@ -26,7 +26,6 @@ from .field import Field, make_field
 from .geometry import (
     AffineFlat,
     ProjectiveSubspace,
-    affine_intersect,
     char_vector,
     enumerate_projective_points,
     gaussian_point_count,
@@ -41,7 +40,6 @@ from .linalg import (
     enumerate_hyperplanes,
     enumerate_subspaces,
     rref,
-    subspace_intersection,
     subspace_sum,
 )
 from .search import (
@@ -75,7 +73,6 @@ __all__ = [
     "Space",
     "Subspace",
     "VerifyReport",
-    "affine_intersect",
     "build_certificate",
     "candidates_affine",
     "candidates_projective",
@@ -98,7 +95,6 @@ __all__ = [
     "make_projective_subspace",
     "max_family",
     "rref",
-    "subspace_intersection",
     "subspace_sum",
     "verify_cross_intersecting",
 ]

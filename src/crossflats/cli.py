@@ -355,7 +355,12 @@ def _well_formed(name: str, tokens: list[str]) -> types.SimpleNamespace | None:
 
 def _parse(argv: list[str]):
     """Well-formed argv (see _well_formed) builds no parser; any other
-    argv gets the full tree, which prints help and usage errors itself."""
+    argv gets the full tree, which prints help and usage errors itself.
+    A leading "--" before a command name is dropped first, so that it
+    means the same on every Python: argparse rejects it as a command up
+    to 3.13.0 and drops it itself on 3.13.13."""
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in _COMMANDS:
+        argv = argv[1:]
     if argv and argv[0] in _COMMANDS:
         args = _well_formed(argv[0], argv[1:])
         if args is not None:

@@ -1,9 +1,9 @@
 """Affine flats of F_q^n and projective subspaces of PG(n, q).
 
 A member's cached ``equations``, rows [w | c] with the member equal to
-{x : w.x = c for every row}, describe its points: point masks, membership,
-incidence vectors and affine_intersect are read off them, and no code
-walks a member's points.
+{x : w.x = c for every row}, describe its points: point masks, membership
+and incidence vectors are read off them, and no code walks a member's
+points.
 
 Flat disjointness is read off the directions' sum instead.  A ∩ B is
 nonempty iff rep_A + a = rep_B + b for some a in dir A and b in dir B,
@@ -33,8 +33,6 @@ from .linalg import (
     _reduced,
     _rref_rows,
     _same_space,
-    _trusted_subspace,
-    annihilator,
     enumerate_subspaces,
     rref,
     subspace_sum,
@@ -116,23 +114,6 @@ def flats_disjoint(A: AffineFlat, B: AffineFlat) -> bool:
     module docstring)."""
     total = subspace_sum(A.direction, B.direction)
     return _reduced(total, A.rep) != _reduced(total, B.rep)
-
-
-def affine_intersect(A: AffineFlat, B: AffineFlat):
-    """Canonical flat A ∩ B, or None when disjoint (flats_disjoint).  A
-    pair that meets is solved by one elimination of both equation stacks:
-    each pivot row gives its pivot coordinate of a point (free ones 0),
-    and the direction is the annihilator of the rows' left parts."""
-    if flats_disjoint(A, B):
-        return None
-    space = A.space
-    n = space.n
-    reduced = _rref_rows(space.field, A.equations + B.equations, n)
-    point = [0] * n
-    for row in reduced:
-        point[_pivot(row)] = row[n]
-    direction = annihilator(_trusted_subspace(space, [row[:n] for row in reduced]))
-    return make_flat(point, direction)
 
 
 def enumerate_flats(space: Space):
@@ -229,7 +210,7 @@ def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
     dim(U ∩ V) = dim U + dim V - rank(U ∪ V): the rank is one elimination
     of both bases."""
     space, U, V = _same_space(A.space, B.space), A.lin, B.lin
-    return len(_rref_rows(space.field, U.basis + V.basis, space.n)) == U.dim + V.dim
+    return len(_rref_rows(space.field, U.basis + V.basis)) == U.dim + V.dim
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:

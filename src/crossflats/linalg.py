@@ -5,21 +5,18 @@ comparison is the lexicographic order used for all tie-breaking.  A
 subspace is always stored as the reduced row echelon form of a row
 basis, so equal spans compare equal and hash equal.
 
-Input is checked at the boundary: rref() and null_space() check every
-row they are given, and a Subspace(...) built by a caller validates its
-RREF invariants.  Past that point the data is trusted.  _rref_rows is the
-one elimination kernel; it and vec_dot run on the field's unchecked
-operations, and the subspaces this module builds from kernel output
-(rref, subspace_sum, subspace_intersection, annihilator, null_space,
+Input is checked at the boundary: rref() checks every row it is given,
+and a Subspace(...) built by a caller validates its RREF invariants.
+Past that point the data is trusted.  _rref_rows is the one elimination
+kernel; it and vec_dot run on the field's unchecked operations, and the
+subspaces this module builds from kernel output (rref, subspace_sum,
 enumerate_subspaces) skip validation, as do the hyperplanes of
 enumerate_hyperplanes and Hyperplane.kernel, which is read off the
-normal in closed form.  The annihilator, read off an RREF basis, turns
-spanning rows into equations and back, so an intersection is the
-annihilator of a sum: there is no separate solver.  _annihilator_rows
-is that read-off without the final elimination; a member's equations
-use its rows as they are, since no reader needs them in RREF.
-subspace_sum is the one direction sum of the flat disjointness test, and
-_reduced the one reduction against a basis (contains reads it too).
+normal in closed form.  _annihilator_rows reads the annihilator's rows
+off an RREF basis without an elimination; a member's equations use them
+as they are, since no reader needs them in RREF.  subspace_sum is the
+one direction sum of the flat disjointness test, and _reduced the one
+reduction against a basis (contains reads it too).
 """
 
 from __future__ import annotations
@@ -83,21 +80,18 @@ def _pivot(row) -> int:
     return -1
 
 
-def _rref_rows(field: Field, rows, width: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon form, pivoting on the first ``width`` columns.
+def _rref_rows(field: Field, rows) -> list[tuple[int, ...]]:
+    """Reduced row echelon form of the rows: the nonzero rows, in order.
 
-    Returns the pivot rows in order; with ``width`` covering every column
-    these are exactly the nonzero rows.  Rows may run past ``width``
-    (augmented columns) and are updated in full.  The one elimination
-    kernel: it uses the field's unchecked operations, so every entry must
-    already be a valid element encoding.
+    The one elimination kernel: it uses the field's unchecked operations,
+    so every entry must already be a valid element encoding.
     """
     ops = field.unchecked
     inv, scale, sub_scaled = ops.inv, ops.scale, ops.sub_scaled
     mat = list(rows)
     m = len(mat)
     rank = 0
-    for col in range(width):
+    for col in range(len(mat[0]) if mat else 0):
         if rank == m:
             break
         for pr in range(rank, m):
@@ -164,7 +158,7 @@ def _trusted_subspace(space: Space, basis) -> Subspace:
 
 def _span(space: Space, rows) -> Subspace:
     """Canonical span of trusted rows."""
-    return _trusted_subspace(space, _rref_rows(space.field, rows, space.n))
+    return _trusted_subspace(space, _rref_rows(space.field, rows))
 
 
 def rref(space: Space, rows) -> Subspace:
@@ -175,13 +169,6 @@ def rref(space: Space, rows) -> Subspace:
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     space = _same_space(U.space, V.space)
     return _span(space, U.basis + V.basis)
-
-
-def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
-    """U ∩ V = ann(ann U + ann V): ann turns sums into intersections, and
-    ann(ann W) = W over GF(q) (a dimension count)."""
-    space = _same_space(U.space, V.space)
-    return annihilator(_span(space, annihilator(U).basis + annihilator(V).basis))
 
 
 def _reduced(U: Subspace, r) -> tuple[int, ...]:
@@ -217,16 +204,6 @@ def _annihilator_rows(U: Subspace) -> list[tuple[int, ...]]:
     return basis
 
 
-def annihilator(U: Subspace) -> Subspace:
-    """Canonical basis of {x : u . x = 0 for every u in U}."""
-    return _span(U.space, _annihilator_rows(U))
-
-
-def null_space(space: Space, rows) -> Subspace:
-    """Canonical basis of {x : r . x = 0 for every row r}."""
-    return annihilator(rref(space, rows))
-
-
 # ---------------------------------------------------------------------------
 # Hyperplanes.
 
@@ -244,7 +221,7 @@ class Hyperplane(_Value):
             raise ValueError("normal must be nonzero with first nonzero entry 1")
 
     def kernel(self) -> Subspace:
-        """null_space of the normal w, in closed form: with l the last
+        """{x : w.x = 0} for the normal w, in closed form: with l the last
         index where w is nonzero, the rows e_i - (w_i / w_l) e_l for every
         i != l, ascending.  Row i has its pivot at i and column l is no
         pivot, so the rows are the canonical RREF basis."""
@@ -276,19 +253,15 @@ def enumerate_hyperplanes(space: Space) -> list[Hyperplane]:
     return out
 
 
-def enumerate_subspaces(space: Space, dim: int | None = None):
-    """Yield every subspace (optionally of one dimension), deterministically.
+def enumerate_subspaces(space: Space):
+    """Yield every subspace, by ascending dimension, deterministically.
 
     Subspaces are generated directly in RREF: choose pivot columns, then
     fill the free entries (right of each pivot, off the pivot columns)
     with every field value.
     """
     n, q = space.n, space.q
-    dims = range(n + 1) if dim is None else (dim,)
-    for d in dims:
-        if d == 0:
-            yield _trusted_subspace(space, ())
-            continue
+    for d in range(n + 1):
         for pivots in itertools.combinations(range(n), d):
             free = [(i, j) for i in range(d) for j in range(n)
                     if j > pivots[i] and j not in pivots]

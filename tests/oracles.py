@@ -28,6 +28,33 @@ def span_points(sub):
     return combo_points(sub.space, sub.basis)
 
 
+def span_rank(space, rows):
+    """Dimension of the span of the rows: log_q of its number of points."""
+    size, rank = len(combo_points(space, rows)), 0
+    while space.q ** rank < size:
+        rank += 1
+    return rank
+
+
+def vanishing_points(space, rows):
+    """The vectors x with u.x = 0 for every given row u, as a set of tuples:
+    a hyperplane's points for one normal, an annihilator's for a basis."""
+    f = space.field
+
+    def dot(u, x):
+        total = 0
+        for a, b in zip(u, x):
+            total = f.add(total, f.mul(a, b))
+        return total
+
+    return {x for x in space.vectors() if all(dot(u, x) == 0 for u in rows)}
+
+
+def sum_points(U, V):
+    """The vectors u + v for u in U and v in V, as a set of tuples."""
+    return set().union(*(translate(U.space, u, span_points(V)) for u in span_points(U)))
+
+
 def translate(space, rep, points):
     """The points rep + w for w in points, as a set of tuples."""
     f = space.field

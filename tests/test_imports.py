@@ -9,6 +9,7 @@ and they do not count as naming a definition.
 import ast
 import pathlib
 import re
+import types
 
 import pytest
 
@@ -86,3 +87,18 @@ def test_the_check_sees_an_unnamed_definition():
 def test_every_definition_is_named_elsewhere(path):
     texts = [p.read_text(encoding="utf-8") for p in SEARCHED]
     assert unnamed(module_level_names(path.read_text(encoding="utf-8")), texts) == []
+
+
+def test_all_lists_exactly_the_public_names():
+    """__all__ is the package's public names less its submodules, so a
+    deleted definition leaves no stale export behind, and the star import
+    binds every name it lists."""
+    import crossflats
+
+    public = {name for name, value in vars(crossflats).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(crossflats.__all__) == sorted(public)
+    assert len(set(crossflats.__all__)) == len(crossflats.__all__)
+    namespace = {}
+    exec("from crossflats import *", namespace)
+    assert set(crossflats.__all__) <= set(namespace)

@@ -12,7 +12,6 @@ from crossflats.field import make_field
 from crossflats.geometry import (
     PointMasks,
     ProjectiveSubspace,
-    affine_intersect,
     enumerate_projective_points,
     flats_disjoint,
     make_flat,
@@ -130,9 +129,3 @@ def test_masks_from_equations_match_elimination_and_oracle(name, seed):
         assert disjoint == (not members_meet(a, b))
     assert not disjoint_test(*pairs[1])
     assert all(disjoint_test(a, b) for a, b in pairs[2:])
-    if not affine:
-        return
-    for a, b in pairs:
-        got = affine_intersect(a, b)
-        expected = flat_points(a) & flat_points(b)
-        assert (set() if got is None else flat_points(got)) == expected
