@@ -5,19 +5,17 @@ or projective subspaces.  It verifies when every A_i ∩ B_i is empty and
 every A_i ∩ B_j with i < j is nonempty; the condition is one-directional,
 so pair order matters.
 
-Verification is enumeration-free.  An affine family is checked on
-direction classes: two flats are disjoint iff their reps reduce to
-different vectors against the sum of their directions (see
-``crossflats.geometry``), and each distinct pair of directions met forms
-its sum at most once, after which a pair check is two reductions.  Two
-distinct classes of hyperplane cosets need no sum: two distinct
-hyperplanes span the whole space, so the cosets always meet.  So a row i
-of the upper triangle is walked per B class that may miss A_i, from each
-class's first position after i, not per pair.  The paper's extremal
-family is made of hyperplane cosets only: it forms only the sums of a
-class with itself, which take no elimination, and a row costs one class.
-Sums are linalg.subspace_sum; a projective pair check is one call of
-geometry.projective_disjoint, a rank test.
+Verification is enumeration-free and walks member classes: a flat's
+class is its direction, a projective subspace's its linear span.  Each
+distinct pair of classes met forms its sum at most once.  Two flats are
+disjoint iff their reps reduce to different vectors against the sum of
+their directions (see ``crossflats.geometry``), two subspaces iff their
+sum's dimension is the sum of theirs.  Class pairs that always meet form
+no sum: two distinct hyperplane directions, or subspaces U and V with
+dim U + dim V > n + 1.  So row i of the upper triangle is walked per B
+class that may miss A_i, from each class's first position after i.  The
+paper's extremal family forms only the sums of a class with itself,
+which take no elimination, and a row costs one class.
 
 The file loader checks each vector of a file once, at the boundary: a
 list of n entries (n + 1 in a projective file) of type int in [0, q).
@@ -101,9 +99,8 @@ class VerifyReport(_Value):
     """ok, or the first violation as 1-based (i, j, reason).
 
     pair_checks counts the member pairs decided, the violating one
-    included; eliminations counts the direction-class pair sums formed
-    for an affine family (a class with itself included, though it is its
-    own sum) or the rank tests of a projective one.
+    included; eliminations counts the class-pair sums formed, for either
+    kind (a direction with itself included, though it is its own sum).
     """
 
     ok: bool
@@ -121,82 +118,96 @@ class FamilyViolation(ValueError):
         self.violation = violation
 
 
-class _DirectionClasses:
-    """A_i ∩ B_j = ∅ for the flats of an affine family, decided on their
-    directions' classes.
+class _MemberClasses:
+    """A_i ∩ B_j = ∅ for a family's members, decided on their classes
+    (see the module docstring).
 
-    Each distinct direction gets a class number; each member keeps its
-    class and its rep.  The flats are disjoint iff their reps reduce to
-    different vectors against the sum of their directions (see
-    ``crossflats.geometry``).  That sum is formed on first use, once per
-    (A class, B class), and ``solves`` counts the sums formed.
-
-    A class with itself is its own sum, and its members' reps are
-    already reduced against it, so that sum takes no elimination.  Two
-    distinct hyperplane classes are not spanned, nor counted: a subspace
-    holding two distinct hyperplanes is the whole space.  A sum that is
-    the whole space is kept as None: its cosets always meet, and the walk
-    skips them.
+    Each member keeps its class number and its rep (None for a subspace).
+    A class pair's sum is formed on first use, and ``solves`` counts the
+    sums formed; a direction with itself is its own sum, against which
+    the reps are already reduced.  A span pair has one verdict for all
+    its member pairs, which projective_disjoint gives on the classes'
+    first members.  Class pairs that always_meet form no sum.
     """
 
     def __init__(self, fam: FamilyPair):
-        self.space = fam.ambient
-        self.hyperplane = fam.ambient.n - 1  # the dimension of a hyperplane
-        self.classes = {}     # direction basis -> class number
-        self.directions = []  # class number -> direction
+        self.affine = fam.kind == AFFINE
+        self.n = fam.ambient.n  # the dimension of the linear ambient space
+        self.classes = {}  # direction or span basis -> class number
+        self.spans = []    # class number -> direction or span
+        self.members = []  # class number -> its first member
         self.a_side = [self._numbered(a) for a, _ in fam.pairs]
         self.b_side = [self._numbered(b) for _, b in fam.pairs]
-        self.sums = {}  # (A class, B class) -> their direction sum, or None
+        self.sums = {}  # (A class, B class) -> a flat sum, True, or None if they meet
         self.solves = 0
-        self.positions = [[] for _ in self.directions]  # B class -> its j, ascending
+        self.positions = [[] for _ in self.spans]  # B class -> its j, ascending
         for j, (number, _) in enumerate(self.b_side):
             self.positions[number].append(j)
-        # The B classes that a hyperplane A class of another direction may miss.
-        self.wide = [c for c, direction in enumerate(self.directions)
-                     if direction.dim != self.hyperplane and self.positions[c]]
+        self.dims = [span.dim for span in self.spans]
+        # The B classes by ascending dimension; cut[d] of them have dimension < d.
+        self.by_dim = sorted((c for c in range(len(self.spans)) if self.positions[c]),
+                             key=self.dims.__getitem__)
+        self.cut = [bisect.bisect_left(self.by_dim, d, key=self.dims.__getitem__)
+                    for d in range(self.n + 2)]
 
-    def _numbered(self, flat: AffineFlat):
-        number = self.classes.setdefault(flat.direction.basis, len(self.directions))
-        if number == len(self.directions):
-            self.directions.append(flat.direction)
-        return number, flat.rep
+    def _numbered(self, member):
+        span, rep = (member.direction, member.rep) if self.affine else (member.lin, None)
+        number = self.classes.setdefault(span.basis, len(self.spans))
+        if number == len(self.spans):
+            self.spans.append(span)
+            self.members.append(member)
+        return number, rep
 
-    def direction_sum(self, a_class: int, b_class: int):
-        """dir A + dir B of the two classes, or None when it is the whole
-        space."""
+    def always_meet(self, a_class: int, b_class: int) -> bool:
+        """The dimension rules: two distinct hyperplane directions span the
+        whole space; a subspace meets itself, and by Grassmann's formula U
+        meets V when dim U + dim V exceeds the ambient's (n + 1 in PG(n, q))."""
+        dims, n = self.dims, self.n
+        if self.affine:
+            return a_class != b_class and dims[a_class] == dims[b_class] == n - 1
+        return a_class == b_class or dims[a_class] + dims[b_class] > n
+
+    def class_sum(self, a_class: int, b_class: int):
+        """The classes' entry in ``sums``, formed on first use."""
         key = a_class, b_class
-        if key in self.sums:
-            return self.sums[key]
-        a, b = self.directions[a_class], self.directions[b_class]
-        if a_class != b_class and a.dim == self.hyperplane == b.dim:
+        if key not in self.sums:
             total = None
-        else:
-            self.solves += 1
-            total = a if a_class == b_class else subspace_sum(a, b)
-            if total.dim == self.space.n:
-                total = None
-        self.sums[key] = total
-        return total
+            if not self.always_meet(a_class, b_class):
+                self.solves += 1
+                if self.affine:
+                    a, b = self.spans[a_class], self.spans[b_class]
+                    total = a if a_class == b_class else subspace_sum(a, b)
+                    if total.dim == self.n:
+                        total = None
+                else:
+                    total = projective_disjoint(self.members[a_class],
+                                                self.members[b_class]) or None
+            self.sums[key] = total
+        return self.sums[key]
 
     def disjoint(self, i: int, j: int) -> bool:
         (a_class, rep), (b_class, other) = self.a_side[i], self.b_side[j]
-        total = self.direction_sum(a_class, b_class)
-        return total is not None and _reduced(total, rep) != _reduced(total, other)
+        total = self.class_sum(a_class, b_class)
+        return total is not None and (
+            not self.affine or _reduced(total, rep) != _reduced(total, other))
 
     def first_disjoint(self, i: int) -> int:
         """The least j > i with A_i ∩ B_j = ∅, or m if there is none.
 
-        Only the B classes that may miss A_i are visited: A_i's own
-        class, and the classes that are not of hyperplanes (every class,
-        when A_i's is not).  They are visited in the order of their first
-        position after i, up to the least violating j found so far, so a
-        class's sum is formed exactly when a walk over the pairs (i, i+1),
-        (i, i+2), ... up to that j would meet it first."""
+        Only the B classes that may miss A_i are visited, picked by
+        dimension, in the order of their first position after i, up to
+        the least violating j found so far, so a class's sum is formed
+        exactly when a walk over the pairs (i, i+1), (i, i+2), ... up to
+        that j would meet it first.  A span class has one verdict, so its
+        first position decides it."""
         a_class, rep = self.a_side[i]
-        if self.directions[a_class].dim == self.hyperplane:
-            candidates = [a_class, *self.wide]
+        dim, n, by_dim, cut = self.dims[a_class], self.n, self.by_dim, self.cut
+        if not self.affine:  # dim U + dim V <= n + 1; its own class forms no sum
+            candidates = by_dim[:cut[n - dim + 1]]
+        elif dim == n - 1:  # its own class, and no other hyperplane's
+            candidates = [a_class, *by_dim[:cut[n - 1]], *by_dim[cut[n]:]]
         else:
-            candidates = range(len(self.directions))
+            candidates = by_dim
         firsts = []
         for c in candidates:
             positions = self.positions[c]
@@ -208,15 +219,18 @@ class _DirectionClasses:
         for first, c, k in firsts:
             if first > found:
                 break
-            total = self.direction_sum(a_class, c)
-            if total is not None:
-                target = _reduced(total, rep)
-                for j in itertools.islice(self.positions[c], k, None):
-                    if j > found:
-                        break
-                    if _reduced(total, self.b_side[j][1]) != target:
-                        found = j
-                        break
+            total = self.class_sum(a_class, c)
+            if total is None:
+                continue
+            if not self.affine:
+                return first
+            target = _reduced(total, rep)
+            for j in itertools.islice(self.positions[c], k, None):
+                if j > found:
+                    break
+                if _reduced(total, self.b_side[j][1]) != target:
+                    found = j
+                    break
         return found
 
 
@@ -225,41 +239,28 @@ def verify_cross_intersecting(fam: FamilyPair) -> VerifyReport:
 
     Diagonal checks run first (i ascending), then the strict upper
     triangle in row-major order; the first violation is reported, with
-    the pair checks made up to it.  An affine family is decided on its
-    direction classes: at most one sum per distinct (dir A_i, dir B_j)
-    met, not one elimination per pair, and a row of the triangle is
-    walked per B class that may miss A_i, not per pair; the pair checks
-    follow in closed form.  FamilyPair has checked the
-    members' ambient space once, so no pair check repeats that.
+    the pair checks made up to it.  Both kinds are decided on member
+    classes (_MemberClasses): at most one sum per distinct (class of A_i,
+    class of B_j) met, and a row of the triangle is walked per B class
+    that may miss A_i, not per pair; the pair checks follow in closed
+    form.  FamilyPair has checked the members' ambient space once.
     """
-    pairs = fam.pairs
-    m = len(pairs)
-    if fam.kind == AFFINE:
-        classes = _DirectionClasses(fam)
-        disjoint, first_disjoint = classes.disjoint, classes.first_disjoint
-    else:
-        classes = None
-
-        def disjoint(i, j):
-            return projective_disjoint(pairs[i][0], pairs[j][1])
-
-        def first_disjoint(i):
-            return next((j for j in range(i + 1, m) if disjoint(i, j)), m)
+    classes = _MemberClasses(fam)
+    m = fam.m
     violation, checks = None, m + m * (m - 1) // 2
     for i in range(m):
-        if not disjoint(i, i):
+        if not classes.disjoint(i, i):
             violation, checks = (i + 1, i + 1, DIAGONAL_NONEMPTY), i + 1
             break
     else:
         for i in range(m):
-            j = first_disjoint(i)
+            j = classes.first_disjoint(i)
             if j < m:
                 # The diagonal, the rows before i, then (i, i+1) .. (i, j).
                 checks = m + i * (m - 1) - i * (i - 1) // 2 + j - i
                 violation = (i + 1, j + 1, OFFDIAGONAL_EMPTY)
                 break
-    eliminations = checks if classes is None else classes.solves
-    return VerifyReport(violation is None, violation, checks, eliminations)
+    return VerifyReport(violation is None, violation, checks, classes.solves)
 
 
 # ---------------------------------------------------------------------------

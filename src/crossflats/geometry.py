@@ -13,10 +13,10 @@ B are disjoint iff rep_A and rep_B reduce to different vectors.  Then
 some w vanishing on U has w.rep_A != w.rep_B, and the parallel
 hyperplanes w.x = w.rep_A and w.x = w.rep_B hold A and B apart.  U
 depends only on the two directions, so a family of flats forms one sum
-per distinct pair of directions, not one per pair of flats; every such
-sum is linalg.subspace_sum.  Projective subspaces are disjoint iff
-dim(U + V) = dim U + dim V.  flats_disjoint and projective_disjoint are
-the public tests, and projective verify calls projective_disjoint itself.
+per distinct pair of directions, not one per pair of flats.  Projective
+subspaces are disjoint iff dim(U + V) = dim U + dim V.  Both sums are
+linalg.subspace_sum; flats_disjoint and projective_disjoint are the
+public tests, and verify calls projective_disjoint once per span pair.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .linalg import (
     _annihilator_rows,
     _pivot,
     _reduced,
-    _rref_rows,
-    _same_space,
     enumerate_subspaces,
     rref,
     subspace_sum,
@@ -206,11 +204,11 @@ def make_projective_subspace(n: int, field: Field, rows) -> ProjectiveSubspace:
 
 
 def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
-    """U ∩ V = 0 iff rank(U ∪ V) = dim U + dim V, since
-    dim(U ∩ V) = dim U + dim V - rank(U ∪ V): the rank is one elimination
-    of both bases."""
-    space, U, V = _same_space(A.space, B.space), A.lin, B.lin
-    return len(_rref_rows(space.field, U.basis + V.basis)) == U.dim + V.dim
+    """U ∩ V = 0 iff dim(U + V) = dim U + dim V, since
+    dim(U ∩ V) = dim U + dim V - dim(U + V): one subspace_sum, as for
+    flats."""
+    U, V = A.lin, B.lin
+    return subspace_sum(U, V).dim == U.dim + V.dim
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:

@@ -15,8 +15,8 @@ enumerate_hyperplanes and Hyperplane.kernel, which is read off the
 normal in closed form.  _annihilator_rows reads the annihilator's rows
 off an RREF basis without an elimination; a member's equations use them
 as they are, since no reader needs them in RREF.  subspace_sum is the
-one direction sum of the flat disjointness test, and _reduced the one
-reduction against a basis (contains reads it too).
+one sum of both disjointness tests, and _reduced the one reduction
+against a basis (contains reads it too).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Brute-force oracles the tests check the library against.
 
 The geometric oracles work by exhaustive point enumeration, deliberately
-avoiding the elimination-based code paths under test; dataclass_twin is
-the reference for the value classes' semantics.
+avoiding the elimination-based code paths under test; frame_family is a
+family that verifies by construction; dataclass_twin is the reference for
+the value classes' semantics.
 """
 
 import dataclasses
@@ -10,6 +11,7 @@ import functools
 import itertools
 import types
 
+from crossflats import PROJECTIVE, FamilyPair, ProjectiveSubspace, Space, Subspace
 from crossflats.geometry import AffineFlat
 
 
@@ -94,6 +96,24 @@ def naive_verify(pairs):
             reason = "diagonal_nonempty" if i == j else "offdiagonal_empty"
             return (i + 1, j + 1, reason), checks
     return None, len(order)
+
+
+def frame_family(n, field):
+    """The frame family of PG(n, q): the pairs (<e_S>, <e_S^c>) over the
+    nonempty proper subsets S of the n + 1 coordinates, by decreasing |S|
+    (one size in combinations order).  The unit rows of <e_S> are its
+    RREF basis, so no elimination builds it.  <e_S> and <e_T> meet iff S
+    and T do, so a pair's members do not meet, and A_i meets B_j for
+    i < j: |S_i| >= |S_j| and S_i != S_j leave S_i outside S_j."""
+    space, coords = Space(field, n + 1), range(n + 1)
+
+    def span(subset):
+        return ProjectiveSubspace(Subspace(space, tuple(
+            tuple(int(c == k) for c in coords) for k in subset)))
+
+    pairs = [(span(s), span([k for k in coords if k not in s]))
+             for size in range(n, 0, -1) for s in itertools.combinations(coords, size)]
+    return FamilyPair(PROJECTIVE, field, n, tuple(pairs))
 
 
 def naive_max_family(candidates):

@@ -250,7 +250,6 @@ def test_extremal_verify_solves_only_same_direction_pairs(monkeypatch):
     monkeypatch.setattr(Space, "vectors", refuse)
     monkeypatch.setattr(geometry.PointMasks, "__init__", refuse)
     monkeypatch.setattr(linalg, "_rref_rows", refuse)
-    monkeypatch.setattr(geometry, "_rref_rows", refuse)
     t, m = 73, fam.m
     assert m == 2 * t
     shuffled = list(fam.pairs)
@@ -262,19 +261,23 @@ def test_extremal_verify_solves_only_same_direction_pairs(monkeypatch):
         assert report.eliminations == t
 
 
-def test_projective_verify_counts_one_rank_test_per_pair():
+def test_projective_verify_counts_the_class_pair_sums_formed():
+    # Two points of PG(1,2), each its own span class.  A class with itself
+    # always meets and forms no sum; the two distinct points form one sum
+    # per ordered pair of classes met.
     p1 = make_projective_subspace(1, GF2, [(1, 0)])
     p2 = make_projective_subspace(1, GF2, [(0, 1)])
     report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p2, p1))))
-    assert (report.ok, report.pair_checks, report.eliminations) == (True, 3, 3)
+    assert (report.ok, report.pair_checks, report.eliminations) == (True, 3, 2)
     report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 1, ((p1, p2), (p1, p2))))
     assert report.violation == (1, 2, OFFDIAGONAL_EMPTY)
-    assert (report.pair_checks, report.eliminations) == (3, 3)
+    assert (report.pair_checks, report.eliminations) == (3, 1)
 
 
-def test_projective_verify_decides_every_pair_through_projective_disjoint(monkeypatch):
-    """Each pair check of a projective verify is one call of the public
-    geometry.projective_disjoint, which agrees with the point-set oracle."""
+def test_projective_verify_decides_every_sum_through_projective_disjoint(monkeypatch):
+    """Each class-pair sum of a projective verify is one call of the
+    public geometry.projective_disjoint, which agrees with the point-set
+    oracle; the dimension count decides the other pairs."""
     assert families.projective_disjoint is geometry.projective_disjoint
     decided = []
 
@@ -291,12 +294,13 @@ def test_projective_verify_decides_every_pair_through_projective_disjoint(monkey
     m = len(witness)
     diagonal = [*witness[:3], (witness[3][0], witness[3][0]), *witness[4:]]
     offdiagonal = [*witness[:4], witness[1], *witness[5:]]
-    for pairs, violation in ((witness, None), (diagonal, (4, 4, DIAGONAL_NONEMPTY)),
-                             (offdiagonal, (2, 5, OFFDIAGONAL_EMPTY))):
+    for pairs, violation, sums in ((witness, None, 12), (diagonal, (4, 4, DIAGONAL_NONEMPTY), 3),
+                                   (offdiagonal, (2, 5, OFFDIAGONAL_EMPTY), 8)):
         decided.clear()
         report = verify_cross_intersecting(FamilyPair(PROJECTIVE, GF2, 2, tuple(pairs)))
         assert report.violation == violation
-        assert len(decided) == report.pair_checks == report.eliminations
+        assert len(set(decided)) == len(decided) == report.eliminations == sums
+        assert all(a != b and a.lin.dim + b.lin.dim <= 3 for a, b in decided)
     assert report.pair_checks == m + (m - 1) + 3  # the diagonal, row 1, (2, 3) .. (2, 5)
 
 

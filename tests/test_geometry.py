@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossflats import geometry, linalg
+from crossflats import linalg
 from crossflats.field import MAX_ORDER, make_field
 from crossflats.geometry import (
     AffineFlat,
@@ -421,7 +421,6 @@ def test_restricted_candidates_run_no_elimination(monkeypatch):
         return rref_rows(*args)
 
     monkeypatch.setattr(linalg, "_rref_rows", counted)
-    monkeypatch.setattr(geometry, "_rref_rows", counted)
     cands = candidates_affine(2, make_field(5), True)
     assert len(cands) == 6 * 5 * 4
     assert calls == []

@@ -34,6 +34,10 @@ Instances (``--only NAME`` picks some):
   AG(3,2) that verifies, and the same family with a planted off-diagonal
   violation, whose ``eliminations`` depend on which direction pairs are
   solved before the violation is met;
+* ``frame-pg-4-2``: the frame family of PG(4,2), the pairs
+  (<e_S>, <e_S^c>) over the nonempty proper coordinate sets S by
+  decreasing |S|, verified and certified, and the same family with a
+  planted off-diagonal violation;
 * ``search-*``: seven exhaustive searches, each writing its witness, which
   is then verified and, when projective, certified.  Among them are
   restricted AG(3,3) (13 co-component blocks), unrestricted AG(2,4) (an
@@ -52,6 +56,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -88,6 +93,7 @@ USAGE = [
 ]
 EXTREMAL = {"ag-2-2": (2, 2), "ag-3-4": (3, 4), "ag-4-3": (4, 3), "ag-4-5": (4, 5)}
 MIXED = {"mixed-ag-3-2": (3, 2)}
+FRAMES = {"frame-pg-4-2": (4, 2)}
 SEARCHES = {
     "search-affine-restricted-2-5": ("affine", True, 2, 5),
     "search-projective-2-3": ("projective", False, 2, 3),
@@ -97,7 +103,7 @@ SEARCHES = {
     "search-affine-2-4": ("affine", False, 2, 4),
     "search-projective-3-2": ("projective", False, 3, 2),
 }
-INSTANCES = ["readme", "usage", *EXTREMAL, *MIXED, *SEARCHES]
+INSTANCES = ["readme", "usage", *EXTREMAL, *MIXED, *SEARCHES, *FRAMES]
 
 
 def _checks(path: str) -> list[list[str]]:
@@ -196,6 +202,31 @@ class Digester:
             for argv in _checks(path):
                 self.run(argv)
 
+    def frame(self, name: str, n: int, q: int):
+        """Writes the frame family of PG(n, q) over a prime q, then
+        repeats pair i at j > i."""
+        from crossflats.families import PROJECTIVE, FamilyPair, dump_family
+        from crossflats.field import make_field
+        from crossflats.geometry import make_projective_subspace
+
+        field, coords = make_field(q), range(n + 1)
+
+        def span(subset):
+            rows = [[int(c == k) for c in coords] for k in subset]
+            return make_projective_subspace(n, field, rows)
+
+        pairs = [(span(s), span([k for k in coords if k not in s]))
+                 for size in range(n, 0, -1) for s in itertools.combinations(coords, size)]
+        doc = json.loads(dump_family(FamilyPair(PROJECTIVE, field, n, tuple(pairs))))
+        i, j = sorted(random.Random(f"{name} offdiagonal").sample(range(len(pairs)), 2))
+        members = doc["pairs"]
+        planted = members[:j] + [members[i]] + members[j + 1:]
+        for suffix, variant in (("", members), ("-offdiagonal", planted)):
+            path = f"{name}{suffix}.json"
+            _write(path, {**doc, "pairs": variant})
+            for argv in _checks(path):
+                self.run(argv)
+
     def search(self, name: str, kind: str, restricted: bool, n: int, q: int):
         witness = f"{name}.json"
         argv = ["search", "--kind", kind, "--n", str(n), "--q", str(q),
@@ -260,6 +291,8 @@ def main(argv=None) -> int:
                     digester.extremal(name, *EXTREMAL[name])
                 elif name in MIXED:
                     digester.mixed(name, *MIXED[name])
+                elif name in FRAMES:
+                    digester.frame(name, *FRAMES[name])
                 else:
                     digester.search(name, *SEARCHES[name])
             for index, source in enumerate(sources):
