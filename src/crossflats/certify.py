@@ -11,7 +11,8 @@ are reduced into the prime field GF(p).  Full row rank m+2 there proves
 the forms independent inside the (t+1)-dimensional span of 1, x_1..x_t,
 hence m + 2 <= t + 1.  A congruence that holds mod q holds mod p, so
 rank over GF(p) is a sound reduction of the mod-q identities; those
-identities themselves are checked in unbounded integers first.
+identities themselves are checked in unbounded integers first, and when
+they hold they prove the rank (certify_projective_bound).
 
 The incidence vectors are the search's point masks (geometry.PointMasks)
 over the enumerate_projective_points order, read off each member's
@@ -127,12 +128,27 @@ def matrix_rank(mat: CertificateMatrix) -> int:
 
 
 def certify_projective_bound(fam: FamilyPair) -> CertificateReport:
-    """Build the matrix, compute its GF(p) rank, and confirm m <= t - 1;
-    FamilyViolation if the family does not verify."""
+    """Build the matrix, check its evaluation table, and confirm
+    m <= t - 1; FamilyViolation if the family does not verify.
+
+    The table proves the rank.  Order the forms as (row m+2, rows 1..m,
+    row m+1) and the points as (0, w_1, ..., w_m, all-ones): where the
+    table holds, the forms' values there are lower triangular with 1 on
+    the diagonal mod q, hence mod p.  Those values are the matrix times
+    the points' (1, x) columns, so its m+2 rows have rank m+2 over GF(p)
+    (the triangular criterion; Babai and Frankl, Linear Algebra Methods
+    in Combinatorics, ch. 2).
+
+    On a verified family of nonempty members every identity holds, since
+    a nonempty projective subspace has 1 (mod q) points: each A_i, each
+    B_j, A_i ∩ B_j for i < j, and the whole space.  So matrix_rank, an
+    elimination, runs only when the table fails, which only a defect
+    causes, and then gives the exact rank.
+    """
     mat = build_certificate(fam)
-    rank = matrix_rank(mat)
-    independent = rank == mat.m + 2
     table_ok = evaluate_identities(fam, mat)
+    rank = mat.m + 2 if table_ok else matrix_rank(mat)
+    independent = rank == mat.m + 2
     return CertificateReport(
         m=mat.m,
         t=mat.t,

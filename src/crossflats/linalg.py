@@ -8,13 +8,15 @@ basis, so equal spans compare equal and hash equal.
 Input is checked at the boundary: rref() checks every row it is given,
 and a Subspace(...) built by a caller validates its RREF invariants.
 Past that point the data is trusted.  _rref_rows is the one elimination
-kernel; it and vec_dot run on the field's unchecked operations, and the
-subspaces this module builds from kernel output (rref, subspace_sum,
-enumerate_subspaces) skip validation, as do the hyperplanes of
-enumerate_hyperplanes and Hyperplane.kernel, which is read off the
-normal in closed form.  _annihilator_rows reads the annihilator's rows
-off an RREF basis without an elimination; a member's equations use them
-as they are, since no reader needs them in RREF.  subspace_sum is the
+kernel; it and vec_dot run on the field's unchecked operations, and it
+returns the rows' pivot columns with them.  _trusted_subspace skips
+validation and takes the pivot columns from its producer: kernel output
+(rref, subspace_sum) and the RREF bases written directly
+(enumerate_subspaces, and Hyperplane.kernel, read off the normal in
+closed form).  The hyperplanes of enumerate_hyperplanes skip validation
+too.  _annihilator_rows reads the annihilator's rows off an RREF basis
+without an elimination; a member's equations use them as they are,
+since no reader needs them in RREF.  subspace_sum is the
 one sum of both disjointness tests, and _reduced the one reduction
 against a basis (contains reads it too).
 """
@@ -80,8 +82,9 @@ def _pivot(row) -> int:
     return -1
 
 
-def _rref_rows(field: Field, rows) -> list[tuple[int, ...]]:
-    """Reduced row echelon form of the rows: the nonzero rows, in order.
+def _rref_rows(field: Field, rows) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Reduced row echelon form of the rows: the nonzero rows, in order,
+    and the pivot column of each, ascending.
 
     The one elimination kernel: it uses the field's unchecked operations,
     so every entry must already be a valid element encoding.
@@ -90,8 +93,9 @@ def _rref_rows(field: Field, rows) -> list[tuple[int, ...]]:
     inv, scale, sub_scaled = ops.inv, ops.scale, ops.sub_scaled
     mat = list(rows)
     m = len(mat)
-    rank = 0
+    pivots = []
     for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
         if rank == m:
             break
         for pr in range(rank, m):
@@ -108,8 +112,8 @@ def _rref_rows(field: Field, rows) -> list[tuple[int, ...]]:
             c = mat[i][col]
             if c and i != rank:
                 mat[i] = sub_scaled(mat[i], c, pivot_row)
-        rank += 1
-    return [tuple(r) for r in mat[:rank]]
+        pivots.append(col)
+    return [tuple(r) for r in mat[:len(pivots)]], tuple(pivots)
 
 
 class Subspace(_Value):
@@ -147,18 +151,19 @@ class Subspace(_Value):
         return self._pivots
 
 
-def _trusted_subspace(space: Space, basis) -> Subspace:
-    """A Subspace from rows already in RREF (kernel output), unvalidated."""
-    sub, basis = object.__new__(Subspace), tuple(basis)
+def _trusted_subspace(space: Space, basis, pivots: tuple[int, ...]) -> Subspace:
+    """A Subspace from rows already in RREF and their pivot columns, as
+    their producer found them: unvalidated, and no row is scanned."""
+    sub = object.__new__(Subspace)
     object.__setattr__(sub, "space", space)
-    object.__setattr__(sub, "basis", basis)
-    object.__setattr__(sub, "_pivots", tuple(map(_pivot, basis)))
+    object.__setattr__(sub, "basis", tuple(basis))
+    object.__setattr__(sub, "_pivots", pivots)
     return sub
 
 
 def _span(space: Space, rows) -> Subspace:
     """Canonical span of trusted rows."""
-    return _trusted_subspace(space, _rref_rows(space.field, rows))
+    return _trusted_subspace(space, *_rref_rows(space.field, rows))
 
 
 def rref(space: Space, rows) -> Subspace:
@@ -224,18 +229,19 @@ class Hyperplane(_Value):
         """{x : w.x = 0} for the normal w, in closed form: with l the last
         index where w is nonzero, the rows e_i - (w_i / w_l) e_l for every
         i != l, ascending.  Row i has its pivot at i and column l is no
-        pivot, so the rows are the canonical RREF basis."""
+        pivot, so the rows are the canonical RREF basis, and its pivot
+        columns are every index but l."""
         space, w = self.space, self.normal
         ops = space.field.unchecked
         last = max(i for i, c in enumerate(w) if c)
         factor = ops.neg(ops.inv(w[last]))
+        pivots = tuple(i for i in range(space.n) if i != last)
         basis = []
-        for i, c in enumerate(w):
-            if i != last:
-                row = [0] * space.n
-                row[i], row[last] = 1, ops.mul(factor, c)
-                basis.append(tuple(row))
-        return _trusted_subspace(space, basis)
+        for i in pivots:
+            row = [0] * space.n
+            row[i], row[last] = 1, ops.mul(factor, w[i])
+            basis.append(tuple(row))
+        return _trusted_subspace(space, basis, pivots)
 
 
 def enumerate_hyperplanes(space: Space) -> list[Hyperplane]:
@@ -271,4 +277,4 @@ def enumerate_subspaces(space: Space):
                     rows[i][pivots[i]] = 1
                 for (i, j), val in zip(free, values):
                     rows[i][j] = val
-                yield _trusted_subspace(space, (tuple(r) for r in rows))
+                yield _trusted_subspace(space, map(tuple, rows), pivots)

@@ -2,8 +2,10 @@
 
 The geometric oracles work by exhaustive point enumeration, deliberately
 avoiding the elimination-based code paths under test; frame_family is a
-family that verifies by construction; dataclass_twin is the reference for
-the value classes' semantics.
+family that verifies by construction; oracle_certificate reads a
+certificate off point sets, and elimination_rank is its rank by plain
+integer elimination mod p; dataclass_twin is the reference for the value
+classes' semantics.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import itertools
 import types
 
 from crossflats import PROJECTIVE, FamilyPair, ProjectiveSubspace, Space, Subspace
+from crossflats.certify import CertificateMatrix
 from crossflats.geometry import AffineFlat
 
 
@@ -114,6 +117,53 @@ def frame_family(n, field):
     pairs = [(span(s), span([k for k in coords if k not in s]))
              for size in range(n, 0, -1) for s in itertools.combinations(coords, size)]
     return FamilyPair(PROJECTIVE, field, n, tuple(pairs))
+
+
+def oracle_certificate(fam):
+    """Matrix rows and evaluation-table verdict from the oracle's point sets
+    (no point masks): 0/1 incidence vectors and integer dot products."""
+    field, m = fam.field, fam.m
+    points = canonical_points(Space(field, fam.n + 1).vectors())
+    t, p, q = len(points), field.p, field.q
+
+    def incidence(member):
+        held = member_points(member)
+        return [int(pt in held) for pt in points]
+
+    v = [incidence(a) for a, _ in fam.pairs]
+    w = [incidence(b) for _, b in fam.pairs]
+    rows = tuple((1,) + tuple(-x % p for x in vi) for vi in v) + (
+        (0,) + (1,) * t, (t % p,) + (-1 % p,) * t)
+
+    def meet(i, j):
+        return sum(x * y for x, y in zip(v[i], w[j]))
+
+    table_ok = (all(meet(i, i) == 0 for i in range(m))
+                and all((1 - meet(i, j)) % q == 0
+                        for i in range(m) for j in range(i + 1, m))
+                and all((1 - sum(vi)) % q == 0 for vi in v)
+                and all((t - sum(wj)) % q == 0 for wj in w)
+                and t % q == 1)
+    return CertificateMatrix(p, m, t, rows), table_ok
+
+
+def elimination_rank(p, rows):
+    """Rank of integer rows over GF(p), by plain Gaussian elimination on
+    residues mod p: no field tables and no crossflats code."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            c = mat[r][col] * inv % p
+            if c:
+                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
 
 
 def naive_max_family(candidates):

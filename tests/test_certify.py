@@ -1,6 +1,11 @@
 """Certificate matrix layout, integer evaluation identities, rank reports."""
 
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflats import certify
 from crossflats.certify import (
@@ -23,38 +28,11 @@ from crossflats.families import (
 )
 from crossflats.field import make_field
 from crossflats.geometry import make_projective_subspace
-from crossflats.linalg import Space
-from oracles import canonical_points, member_points
+from crossflats.search import candidates_projective, max_family
+from oracles import elimination_rank, frame_family, member_points, oracle_certificate
 
 GF2 = make_field(2)
 GF3 = make_field(3)
-
-
-def oracle_certificate(fam):
-    """Matrix rows and evaluation-table verdict from the oracle's point sets
-    (no point masks): 0/1 incidence vectors and integer dot products."""
-    field, m = fam.field, fam.m
-    points = canonical_points(Space(field, fam.n + 1).vectors())
-    t, p, q = len(points), field.p, field.q
-    def incidence(member):
-        held = member_points(member)
-        return [int(pt in held) for pt in points]
-
-    v = [incidence(a) for a, _ in fam.pairs]
-    w = [incidence(b) for _, b in fam.pairs]
-    rows = tuple((1,) + tuple(-x % p for x in vi) for vi in v) + (
-        (0,) + (1,) * t, (t % p,) + (-1 % p,) * t)
-
-    def meet(i, j):
-        return sum(x * y for x, y in zip(v[i], w[j]))
-
-    table_ok = (all(meet(i, i) == 0 for i in range(m))
-                and all((1 - meet(i, j)) % q == 0
-                        for i in range(m) for j in range(i + 1, m))
-                and all((1 - sum(vi)) % q == 0 for vi in v)
-                and all((t - sum(wj)) % q == 0 for wj in w)
-                and t % q == 1)
-    return CertificateMatrix(p, m, t, rows), table_ok
 
 
 def pg12_two_pairs():
@@ -85,9 +63,19 @@ def test_pg12_matrix_and_rank():
 
 
 def test_bound_confirmed_requires_the_evaluation_table(monkeypatch, tmp_path, capsys):
+    # With the table failing, the rank is no longer read off the triangle:
+    # the elimination runs and gives the matrix's exact rank.
+    eliminated = []
+
+    def counted(mat):
+        eliminated.append(mat)
+        return matrix_rank(mat)
+
     monkeypatch.setattr(certify, "evaluate_identities", lambda fam, mat: False)
+    monkeypatch.setattr(certify, "matrix_rank", counted)
     fam = pg12_two_pairs()
     report = certify_projective_bound(fam)
+    assert report.rank == 4 and eliminated == [build_certificate(fam)]
     assert report.independent and not report.evaluation_table_ok
     assert not report.bound_confirmed
     path = tmp_path / "fam.json"
@@ -207,8 +195,6 @@ def test_tightness_against_monomial_space():
 
 
 def test_search_witness_prefixes_certify_like_the_oracle():
-    from crossflats.search import candidates_projective, max_family
-
     # PG(1,3) holds pairs of distinct points only; PG(2,2) and PG(2,3) reach 6.
     for n, field, size in [(1, GF3, 2), (2, GF2, 6), (2, GF3, 6)]:
         cands = candidates_projective(n, field)
@@ -224,3 +210,74 @@ def test_search_witness_prefixes_certify_like_the_oracle():
             cert = certify_projective_bound(fam)
             assert cert.rank == fam.m + 2
             assert cert.bound_confirmed and cert.evaluation_table_ok
+
+
+def refuse_elimination(mat):
+    raise AssertionError("certify eliminated the certificate matrix")
+
+
+FIELDS = {2: GF2, 3: GF3, 4: make_field(2, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def witness_pairs(n, q):
+    """The (A, B) pairs of the search's lex-min maximum family in PG(n, q)."""
+    cands = candidates_projective(n, FIELDS[q])
+    by_id = {c.id: c for c in cands}
+    return tuple((by_id[i].A, by_id[i].B) for i in max_family(cands).witness)
+
+
+@functools.lru_cache(maxsize=None)
+def candidate_points(n, q):
+    """Each candidate's (A, B) and the point sets of its two members."""
+    return [((c.A, c.B), frozenset(member_points(c.A)), frozenset(member_points(c.B)))
+            for c in candidates_projective(n, FIELDS[q])]
+
+
+@st.composite
+def verified_families(draw):
+    """A prefix of a search witness, or a greedy family: the candidates in
+    a seeded random order, each kept when every A kept before meets its B."""
+    n, q = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]))
+    if draw(st.booleans()):
+        pairs = witness_pairs(n, q)
+        pairs = pairs[:draw(st.integers(0, len(pairs)))]
+    else:
+        cands = list(candidate_points(n, q))
+        random.Random(draw(st.integers(0, 2 ** 32))).shuffle(cands)
+        kept = []
+        for pair, a_points, b_points in cands:
+            if all(b_points & held for _, held in kept):
+                kept.append((pair, a_points))
+        pairs = tuple(pair for pair, _ in kept)
+    return FamilyPair(PROJECTIVE, FIELDS[q], n, pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(verified_families())
+def test_verified_families_read_the_oracles_rank_off_the_table(fam):
+    """On a verified family the evaluation table holds, so certify reads the
+    rank off it without an elimination, and it is the rank that plain
+    elimination of the oracle's own rows finds."""
+    mat, table_ok = oracle_certificate(fam)
+    assert table_ok and verify_cross_intersecting(fam).ok
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "matrix_rank", refuse_elimination)
+        report = certify_projective_bound(fam)
+    assert report.rank == elimination_rank(mat.p, mat.rows) == fam.m + 2
+    assert report.independent and report.bound_confirmed and report.evaluation_table_ok
+
+
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 8)] + [(2, 3), (3, 3), (2, 4)])
+def test_frames_certify_without_an_elimination(monkeypatch, n, q):
+    """The frame family (m = 2^(n+1) - 2, which meets the bound m <= t - 1
+    at q = 2) certifies with the elimination refused; where the oracle's
+    rows are small enough, their plain elimination rank agrees."""
+    fam = frame_family(n, FIELDS[q])
+    monkeypatch.setattr(certify, "matrix_rank", refuse_elimination)
+    report = certify_projective_bound(fam)
+    assert report.m == 2 ** (n + 1) - 2 <= report.t - 1 and report.rank == report.m + 2
+    assert report.independent and report.bound_confirmed and report.evaluation_table_ok
+    if fam.m <= 62:
+        mat, table_ok = oracle_certificate(fam)
+        assert table_ok and elimination_rank(mat.p, mat.rows) == report.rank

@@ -200,19 +200,25 @@ def test_boundary_functions_check_their_input():
 
 
 def test_trusted_subspaces_satisfy_the_validated_invariants():
-    # Kernel output skips validation; rebuilding it through the checked
-    # constructor must give the same value.
+    # Kernel output (rref, subspace_sum) and the closed forms (hyperplane
+    # kernels, enumerate_subspaces) skip validation and take their pivot
+    # columns from their producer; rebuilding them through the checked
+    # constructor must give the same value and the same pivot columns,
+    # which == does not compare.
     rng = random.Random(11)
     gf9 = make_field(3, 2)
     for space in (Space(GF2, 4), Space(GF3, 3), Space(GF4, 3), Space(gf9, 2)):
         q = space.q
         subs = list(enumerate_subspaces(space))
+        trusted = subs + [h.kernel() for h in enumerate_hyperplanes(space)]
         for _ in range(40):
             rows = [tuple(rng.randrange(q) for _ in range(space.n))
                     for _ in range(rng.randrange(5))]
             u, v = rref(space, rows), rng.choice(subs)
-            for sub in (u, subspace_sum(u, v), v):
-                assert Subspace(space, sub.basis) == sub
+            trusted += [u, subspace_sum(u, v)]
+        for sub in trusted:
+            checked = Subspace(space, sub.basis)
+            assert checked == sub and checked._pivots == sub._pivots
 
 
 KERNEL_FIELDS = {q: make_field(p, k) for q, (p, k) in
@@ -236,12 +242,13 @@ def row_lists(draw):
 def test_the_elimination_kernel_returns_a_reduced_basis_of_the_span(drawn):
     """_rref_rows pivots over every column: as many rows as the rank the
     oracle counts, each normalized, its pivot column cleared in the others,
-    and together spanning what the given rows span."""
+    and together spanning what the given rows span; the pivot columns it
+    returns are the rows' own."""
     space, rows = drawn
-    reduced = _rref_rows(space.field, rows)
+    reduced, pivots = _rref_rows(space.field, rows)
     assert len(reduced) == span_rank(space, rows)
-    pivots = [_pivot(row) for row in reduced]
-    assert pivots == sorted(set(pivots)) and -1 not in pivots
+    assert pivots == tuple(_pivot(row) for row in reduced)
+    assert list(pivots) == sorted(set(pivots)) and -1 not in pivots
     for i, p in enumerate(pivots):
         assert [row[p] for row in reduced] == [int(j == i) for j in range(len(reduced))]
     assert combo_points(space, reduced) == combo_points(space, rows)

@@ -150,7 +150,7 @@ def test_kept_attributes_stay_out_of_the_value():
     assert plain == cached and hash(plain) == hash(cached) and repr(plain) == repr(cached)
 
     checked = Subspace(S3, ((1, 0, 2), (0, 1, 1)))
-    trusted = _trusted_subspace(S3, ((1, 0, 2), (0, 1, 1)))
+    trusted = _trusted_subspace(S3, ((1, 0, 2), (0, 1, 1)), (0, 1))
     assert checked._pivots == trusted._pivots == (0, 1)
     assert checked == trusted and hash(checked) == hash(trusted) == hash((S3, checked.basis))
     assert repr(checked) == repr(trusted) == repr(rref(S3, [(1, 0, 2), (0, 1, 1)]))
