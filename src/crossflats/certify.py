@@ -18,16 +18,18 @@ The incidence vectors are the search's point masks (geometry.PointMasks)
 over the enumerate_projective_points order, read off each member's
 equations as in the search, so each identity is a popcount:
 |A_i ∩ B_j| = (a_i & b_j).bit_count().  build_certificate verifies the
-family, once per certificate.  certify_projective_bound is the one entry
-point to a report, for the library and the CLI alike; certificate_rows
-reads the matrix rows off the same kept masks.
+family on the same masks, once per certificate: A_i ∩ B_j = ∅ iff
+a_i & b_j == 0, so its first violation is verify_cross_intersecting's,
+found without a second decision by elimination.  certify_projective_bound
+is the one entry point to a report, for the library and the CLI alike;
+certificate_rows reads the matrix rows off the same kept masks.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .families import PROJECTIVE, FamilyPair, FamilyViolation, verify_cross_intersecting
+from .families import DIAGONAL_NONEMPTY, OFFDIAGONAL_EMPTY, PROJECTIVE, FamilyPair, FamilyViolation
 from .field import Field, _Value
 from .geometry import PointMasks, enumerate_projective_points
 from .linalg import Space, rref
@@ -87,12 +89,18 @@ def certificate_rows(fam: FamilyPair) -> tuple[tuple[int, ...], ...]:
 
 
 def build_certificate(fam: FamilyPair) -> CertificateMatrix:
-    """The matrix of a projective family; FamilyViolation if it does not verify."""
-    rows = certificate_rows(fam)
-    report = verify_cross_intersecting(fam)
-    if not report.ok:
-        raise FamilyViolation(report.violation)
-    return CertificateMatrix(fam.field.p, fam.m, len(rows[0]) - 1, rows)
+    """The matrix of a projective family; FamilyViolation if it does not
+    verify, with the first violation in verify's order (the diagonal, then
+    the upper triangle row by row), read off the masks."""
+    t, a_masks, b_masks = _incidence_masks(fam)
+    for i, (a, b) in enumerate(zip(a_masks, b_masks), 1):
+        if a & b:
+            raise FamilyViolation((i, i, DIAGONAL_NONEMPTY))
+    for i, a in enumerate(a_masks, 1):
+        for j in range(i, fam.m):
+            if not a & b_masks[j]:
+                raise FamilyViolation((i, j + 1, OFFDIAGONAL_EMPTY))
+    return CertificateMatrix(fam.field.p, fam.m, t, _rows(fam.field.p, t, a_masks))
 
 
 def evaluate_identities(fam: FamilyPair, mat: CertificateMatrix) -> bool:

@@ -14,9 +14,11 @@ some w vanishing on U has w.rep_A != w.rep_B, and the parallel
 hyperplanes w.x = w.rep_A and w.x = w.rep_B hold A and B apart.  U
 depends only on the two directions, so a family of flats forms one sum
 per distinct pair of directions, not one per pair of flats.  Projective
-subspaces are disjoint iff dim(U + V) = dim U + dim V.  Both sums are
-linalg.subspace_sum; flats_disjoint and projective_disjoint are the
-public tests, and verify calls projective_disjoint once per span pair.
+subspaces are disjoint iff dim(U + V) = dim U + dim V, and dim(U + V)
+is the rank of the stacked bases.  flats_disjoint reduces against the
+sum linalg.subspace_sum; projective_disjoint reads only the rank that
+linalg._rref_rows finds, and builds no sum.  They are the public tests,
+and verify calls projective_disjoint once per span pair.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .linalg import (
     _annihilator_rows,
     _pivot,
     _reduced,
+    _rref_rows,
+    _same_space,
     enumerate_subspaces,
     rref,
     subspace_sum,
@@ -205,10 +209,11 @@ def make_projective_subspace(n: int, field: Field, rows) -> ProjectiveSubspace:
 
 def projective_disjoint(A: ProjectiveSubspace, B: ProjectiveSubspace) -> bool:
     """U ∩ V = 0 iff dim(U + V) = dim U + dim V, since
-    dim(U ∩ V) = dim U + dim V - dim(U + V): one subspace_sum, as for
-    flats."""
+    dim(U ∩ V) = dim U + dim V - dim(U + V): the rank of the stacked
+    bases, read off one elimination without building the sum."""
     U, V = A.lin, B.lin
-    return subspace_sum(U, V).dim == U.dim + V.dim
+    rows, _ = _rref_rows(_same_space(U.space, V.space).field, U.basis + V.basis)
+    return len(rows) == U.dim + V.dim
 
 
 def char_vector(F: ProjectiveSubspace, points) -> tuple[int, ...]:

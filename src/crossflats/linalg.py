@@ -16,8 +16,9 @@ validation and takes the pivot columns from its producer: kernel output
 closed form).  The hyperplanes of enumerate_hyperplanes skip validation
 too.  _annihilator_rows reads the annihilator's rows off an RREF basis
 without an elimination; a member's equations use them as they are,
-since no reader needs them in RREF.  subspace_sum is the
-one sum of both disjointness tests, and _reduced the one reduction
+since no reader needs them in RREF.  subspace_sum is the sum
+of the flats' disjointness test; the projective test reads only the
+rank of the same stack off _rref_rows.  _reduced is the one reduction
 against a basis (contains reads it too).
 """
 

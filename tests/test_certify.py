@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossflats import certify
+from crossflats import certify, families
 from crossflats.certify import (
     CertificateMatrix,
     build_certificate,
@@ -27,7 +27,8 @@ from crossflats.families import (
     verify_cross_intersecting,
 )
 from crossflats.field import make_field
-from crossflats.geometry import make_projective_subspace
+from crossflats.geometry import ProjectiveSubspace, make_projective_subspace
+from crossflats.linalg import Space, enumerate_subspaces
 from crossflats.search import candidates_projective, max_family
 from oracles import elimination_rank, frame_family, member_points, oracle_certificate
 
@@ -216,6 +217,10 @@ def refuse_elimination(mat):
     raise AssertionError("certify eliminated the certificate matrix")
 
 
+def refuse_verify(fam):
+    raise AssertionError("certify ran the elimination-based verify")
+
+
 FIELDS = {2: GF2, 3: GF3, 4: make_field(2, 2)}
 
 
@@ -268,12 +273,15 @@ def test_verified_families_read_the_oracles_rank_off_the_table(fam):
     assert report.independent and report.bound_confirmed and report.evaluation_table_ok
 
 
-@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 8)] + [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 10)] + [(2, 3), (3, 3), (2, 4)])
 def test_frames_certify_without_an_elimination(monkeypatch, n, q):
     """The frame family (m = 2^(n+1) - 2, which meets the bound m <= t - 1
-    at q = 2) certifies with the elimination refused; where the oracle's
-    rows are small enough, their plain elimination rank agrees."""
+    at q = 2) certifies with the matrix elimination and the
+    elimination-based verify refused; where the oracle's rows are small
+    enough, their plain elimination rank agrees."""
     fam = frame_family(n, FIELDS[q])
+    assert not hasattr(certify, "verify_cross_intersecting")
+    monkeypatch.setattr(families, "verify_cross_intersecting", refuse_verify)
     monkeypatch.setattr(certify, "matrix_rank", refuse_elimination)
     report = certify_projective_bound(fam)
     assert report.m == 2 ** (n + 1) - 2 <= report.t - 1 and report.rank == report.m + 2
@@ -281,3 +289,56 @@ def test_frames_certify_without_an_elimination(monkeypatch, n, q):
     if fam.m <= 62:
         mat, table_ok = oracle_certificate(fam)
         assert table_ok and elimination_rank(mat.p, mat.rows) == report.rank
+
+
+@functools.lru_cache(maxsize=None)
+def projective_members(n, q):
+    """Every nonempty projective subspace of PG(n, q)."""
+    space = Space(FIELDS[q], n + 1)
+    return [ProjectiveSubspace(sub) for sub in enumerate_subspaces(space) if sub.dim]
+
+
+@st.composite
+def projective_families(draw):
+    """A search-witness prefix, a sample of the candidates, or random member
+    pairs, then with a planted diagonal violation (a pair's B set to its A)
+    or off-diagonal one (pair i repeated at j > i), or neither."""
+    n, q = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2)]))
+    source = draw(st.sampled_from(["witness", "candidates", "members"]))
+    if source == "witness":
+        pairs = witness_pairs(n, q)
+        pairs = list(pairs[:draw(st.integers(0, len(pairs)))])
+    elif source == "candidates":
+        cands = candidate_points(n, q)
+        pairs = [cands[k][0] for k in draw(st.lists(st.integers(0, len(cands) - 1),
+                                                     max_size=8))]
+    else:
+        members = projective_members(n, q)
+        index = st.integers(0, len(members) - 1)
+        pairs = [(members[a], members[b])
+                 for a, b in draw(st.lists(st.tuples(index, index), max_size=6))]
+    plant = draw(st.sampled_from(["none", "diagonal", "offdiagonal"]))
+    if plant == "diagonal" and pairs:
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (pairs[k][0], pairs[k][0])
+    elif plant == "offdiagonal" and len(pairs) >= 2:
+        i = draw(st.integers(0, len(pairs) - 2))
+        j = draw(st.integers(i + 1, len(pairs) - 1))
+        pairs[j] = pairs[i]
+    return FamilyPair(PROJECTIVE, FIELDS[q], n, tuple(pairs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(projective_families())
+def test_certify_names_the_violation_that_verify_reports(fam):
+    """build_certificate decides the family on its point masks alone: it
+    returns iff verify is ok, and otherwise raises verify's first violation."""
+    report = verify_cross_intersecting(fam)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "verify_cross_intersecting", refuse_verify)
+        try:
+            mat = build_certificate(fam)
+        except FamilyViolation as exc:
+            assert not report.ok and exc.violation == report.violation
+        else:
+            assert report.ok and mat.rows == certificate_rows(fam)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from crossflats import certify as certify_module
 from crossflats import cli as cli_module
 from crossflats import families as families_module
 from crossflats import field as field_module
@@ -122,7 +121,7 @@ def _count_verifies(monkeypatch):
         calls.append(fam)
         return verify(fam)
 
-    for module in (families_module, certify_module, cli_module):
+    for module in (families_module, cli_module):
         monkeypatch.setattr(module, "verify_cross_intersecting", counting)
     return calls
 
@@ -149,12 +148,12 @@ def test_search_and_certify_projective(tmp_path, capsys, monkeypatch):
     assert cert["rank"] == cert["m"] + 2
     assert len(cert["matrix"]) == cert["m"] + 2
     assert all(len(row) == cert["t"] + 1 for row in cert["matrix"])
-    assert len(verifies) == 1  # one verify pass per certify command
+    assert verifies == []  # certify verifies on its point masks
 
     code, stdout, _ = run(capsys, "certify", str(witness))
     assert code == 0
     assert "bound_confirmed: true" in stdout
-    assert len(verifies) == 2
+    assert verifies == []
 
 
 def test_certify_rejects_affine_input(tmp_path, capsys):
@@ -177,8 +176,8 @@ def test_certify_fails_on_unverified_family(tmp_path, capsys, monkeypatch):
     verifies = _count_verifies(monkeypatch)
     code, _, err = run(capsys, "certify", str(bad))
     assert code == 1
-    assert "does not verify" in err
-    assert len(verifies) == 1
+    assert err == "family does not verify: (1, 1) diagonal_nonempty\n"
+    assert verifies == []
 
 
 def test_search_text_output_and_exit_codes(capsys):

@@ -37,7 +37,7 @@ Instances (``--only NAME`` picks some):
 * ``frame-pg-4-2``: the frame family of PG(4,2), the pairs
   (<e_S>, <e_S^c>) over the nonempty proper coordinate sets S by
   decreasing |S|, verified and certified, and the same family with a
-  planted off-diagonal violation;
+  planted off-diagonal violation and with a planted diagonal one;
 * ``search-*``: seven exhaustive searches, each writing its witness, which
   is then verified and, when projective, certified.  Among them are
   restricted AG(3,3) (13 co-component blocks), unrestricted AG(2,4) (an
@@ -204,7 +204,7 @@ class Digester:
 
     def frame(self, name: str, n: int, q: int):
         """Writes the frame family of PG(n, q) over a prime q, then
-        repeats pair i at j > i."""
+        repeats pair i at j > i, then sets pair k's B to its A."""
         from crossflats.families import PROJECTIVE, FamilyPair, dump_family
         from crossflats.field import make_field
         from crossflats.geometry import make_projective_subspace
@@ -221,7 +221,11 @@ class Digester:
         i, j = sorted(random.Random(f"{name} offdiagonal").sample(range(len(pairs)), 2))
         members = doc["pairs"]
         planted = members[:j] + [members[i]] + members[j + 1:]
-        for suffix, variant in (("", members), ("-offdiagonal", planted)):
+        k = random.Random(f"{name} diagonal").randrange(len(pairs))
+        diagonal = [dict(p) for p in members]
+        diagonal[k]["B"] = diagonal[k]["A"]
+        for suffix, variant in (("", members), ("-offdiagonal", planted),
+                                ("-diagonal", diagonal)):
             path = f"{name}{suffix}.json"
             _write(path, {**doc, "pairs": variant})
             for argv in _checks(path):
